@@ -92,12 +92,19 @@ LAYER_UNITS = {
     "e2e.lat_tail_percentile": "%",
     "e2e.lat_samples": "count",
     "trace.overhead_s": "s",
+    "trace.replay_wall_ratio": "ratio",
 }
 
 # Per-CLI-call and per-request limits. A run must end within 180 s, so no
 # single operation may take longer than this.
 CLI_TIMEOUT_S = 120.0
 MIN_DEFEAT_LIMIT_S = 20.0
+
+# The traced replay re-codes the engine's single-thread loop as it stands
+# when the benchmark was written. A replay wall time further than this share
+# away from the CLI's --json wall is flagged: the engine may have moved away
+# from the replay, and the per-layer figures may no longer describe it.
+REPLAY_DRIFT = 0.25
 
 
 class BenchError(Exception):
@@ -285,29 +292,36 @@ def report_total(body):
 
 # ---- sweep workloads ---------------------------------------------------------
 
+# workload: (graph, sweep spec, extra flags of the timed --json invocation).
+# With --json the CLI attaches the connectivity oracle and pins one thread.
+# On the fat-tree that single-thread sweep took 12-22 s, too long to repeat
+# within a run, so there `--threads 4` lifts the pin: the default
+# invocation's engine (oracle on, four threads) plus the report. On hub40
+# the pin stays: with four threads its 0.5M oracle misses contend, and the
+# wall time spread 0.24 between runs against 0.11-0.17 pinned.
 SWEEPS = {
-    "sweep-iid-hub40": (HUB40, ["0.05", "2000"]),
-    "sweep-exh-fattree": (FATTREE, ["exhaustive", "2"]),
+    "sweep-iid-hub40": (HUB40, ["0.05", "2000"], []),
+    "sweep-exh-fattree": (FATTREE, ["exhaustive", "2"], ["--threads", "4"]),
 }
 
 
 def sweep_setup(tracer, work, graph, spec, tally):
-    r, out = run_json([tracer, "setup", graph] + spec + ["100"], work)
+    r, out = run_json([tracer, "setup", graph] + spec, work)
     tally.op(r.ok and len(out) == 1, "setup timing failed")
     return out[0]["setup_s"] if out else 0.0
 
 
 def sweep_untraced(ctx, tally):
-    graph_name, spec = SWEEPS[ctx.workload]
+    graph_name, spec, json_flags = SWEEPS[ctx.workload]
     graph = ctx.graph(graph_name)
     base = [ctx.cli, "sweep", graph] + spec
     setups = []
 
-    # Two invocations, interleaved until the time is spent: the default one
-    # with --json (the CLI attaches the connectivity oracle and pins one
-    # thread) and `--procs 4`, each `--procs 4` sweep counting as a request.
-    # --json gets about a third of the time, `--procs 4` (shorter runs, more
-    # samples) the rest; interleaving spreads both over the whole run.
+    # Two invocations, interleaved until the time is spent: `--json <f>`
+    # (see SWEEPS for its flags) and `--procs 4`, each `--procs 4` sweep
+    # counting as a request. --json gets about a third of the time,
+    # `--procs 4` (shorter runs, more samples) the rest; interleaving spreads
+    # both over the whole run.
     json_path = os.path.join(ctx.work, "sweep.json")
     procs_path = os.path.join(ctx.work, "procs.json")
     json_walls, procs_walls, rss = [], [], []
@@ -320,11 +334,16 @@ def sweep_untraced(ctx, tally):
 
     while True:
         # The set-up timing (a few tens of ms) rides along before every
-        # sweep, so its samples spread over the whole run too.
-        setups.append(sweep_setup(ctx.tracer, ctx.work, graph, spec, tally))
+        # sweep, so its samples spread over the whole run too. Each `setup`
+        # process runs on one vCPU, and on the shared measuring host their
+        # medians fell into two speeds (about 130 and 200 us on the
+        # fat-tree), so three processes per sweep give the run's median
+        # enough draws.
+        for _ in range(3):
+            setups.append(sweep_setup(ctx.tracer, ctx.work, graph, spec, tally))
         kind = next_kind()
         if kind == "json":
-            r = run_proc(base + ["--json", json_path], ctx.work)
+            r = run_proc(base + ["--json", json_path] + json_flags, ctx.work)
             tally.op(r.ok, "sweep --json exited %d" % r.rc)
             if not r.ok:
                 break
@@ -365,12 +384,13 @@ def sweep_untraced(ctx, tally):
 
 
 def sweep_traced(ctx, tally):
-    graph_name, spec = SWEEPS[ctx.workload]
+    graph_name, spec, _ = SWEEPS[ctx.workload]
     graph = ctx.graph(graph_name)
     base = [ctx.cli, "sweep", graph] + spec
     layers = {}
 
-    # Untraced reference: the same --json invocation the end-to-end run uses.
+    # Untraced reference: plain `--json`, pinned to one thread like the
+    # replay, so the two reports match byte for byte, oracle counters too.
     json_path = os.path.join(ctx.work, "sweep.json")
     r = run_proc(base + ["--json", json_path], ctx.work)
     tally.op(r.ok, "sweep --json exited %d" % r.rc)
@@ -393,6 +413,12 @@ def sweep_traced(ctx, tally):
         # bookkeeping are extra work the untraced sweep never does.
         traced_wall = rep["layered_wall_s"] - rep["shadow_s"] - rep["cold_s"] - rep["keys_s"]
         layers["trace.overhead_s"] = traced_wall - untraced_wall
+        ratio = traced_wall / untraced_wall
+        layers["trace.replay_wall_ratio"] = ratio
+        if abs(ratio - 1.0) > REPLAY_DRIFT:
+            ctx.note("DIVERGENCE: the replay's layered wall is %.2fx the CLI's --json wall "
+                     "(%.2f s vs %.2f s); the per-layer figures may no longer describe the "
+                     "engine" % (ratio, traced_wall, untraced_wall))
 
     layers.update(orchestrate_layers(ctx, tally, base, strip_oracle(reference)))
     return layers
@@ -564,11 +590,14 @@ class Conn:
         self.sock.close()
 
 
-def spawn_daemon(ctx, graphs, tally, spawns=7):
-    """setup_s: spawn until the `listening on` line, median of several spawns.
-    The last daemon stays up for the measurement."""
+DAEMON_SPAWNS = 15  # a few ms each, so many are cheap and steady the median
+
+
+def spawn_daemon(ctx, graphs, tally):
+    """setup_s: spawn until the `listening on` line, median of DAEMON_SPAWNS
+    spawns. The last daemon stays up for the measurement."""
     samples = []
-    for _ in range(spawns - 1):
+    for _ in range(DAEMON_SPAWNS - 1):
         d = Daemon(ctx, graphs)
         samples.append(d.setup_s)
         tally.op(d.shutdown(), "daemon did not shut down cleanly")
@@ -796,7 +825,7 @@ def serve_in_process(ctx, tally, requests, graphs, cached_log, cold_log=()):
 # ---- min-defeat-grid ---------------------------------------------------------
 
 BUDGET = 4
-GRID_PASSES = 5     # serial passes over the fat-tree grid in phase 1
+GRID_PASSES = 4     # serial passes over the fat-tree grid in phase 1
 PHASE2_MIN_S = 3.0  # phase 2 runs at least this long
 
 
@@ -874,7 +903,7 @@ def min_defeat_grid(ctx, tally, traced):
                 tel.add(result, rtt)
         return conn, rtt if ok else None
 
-    # Phase 1, one connection: the hubring-67 queries once, then five passes
+    # Phase 1, one connection: the hubring-67 queries once, then four passes
     # over the grid. Phase 2: four connections carry on through the grid in
     # the same cyclic order for the rest of the run. The grid holds
     # 162 queries and the hub list more than 64, so with the daemon's

@@ -3,10 +3,10 @@
 // It calls each layer's public API directly and times the calls from here,
 // so the program under test carries no spans of its own:
 //
-//   pofl_bench_trace setup <g.graphml> <p|exhaustive> <trials|k> <reps>
+//   pofl_bench_trace setup <g.graphml> <p|exhaustive> <trials|k>
 //       times the CLI sweep's set-up calls (load_graphml,
 //       make_shortest_path_pattern, all_ordered_pairs, source construction)
-//       <reps> times and prints their median.
+//       kSetupReps times and prints their median.
 //
 //   pofl_bench_trace replay <g.graphml> <p|exhaustive> <trials|k> <seed>
 //                           <oracle|no-oracle> <out.json> <cold_every>
@@ -105,14 +105,16 @@ std::unique_ptr<ScenarioSource> make_source(const Graph& g, const SweepSpec& spe
 
 // ---- setup -----------------------------------------------------------------
 
+// Set-up calls per `setup` invocation; the median of these is reported.
+constexpr int kSetupReps = 100;
+
 int cmd_setup(int argc, char** argv) {
-  if (argc != 6) return fail("usage: setup <g.graphml> <p|exhaustive> <trials|k> <reps>");
+  if (argc != 5) return fail("usage: setup <g.graphml> <p|exhaustive> <trials|k>");
   SweepSpec spec;
   if (!parse_spec(argv[3], argv[4], spec)) return fail("bad sweep spec");
-  const int reps = std::max(1, std::atoi(argv[5]));
   std::vector<double> samples;
   int64_t checksum = 0;
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r < kSetupReps; ++r) {
     const auto start = Clock::now();
     const auto net = load_graphml(argv[2]);
     if (!net.has_value()) return fail(std::string("cannot parse ") + argv[2]);
@@ -123,7 +125,7 @@ int cmd_setup(int argc, char** argv) {
     checksum += source->total_hint() + static_cast<int64_t>(pattern != nullptr);
   }
   std::printf("{\"setup_s\":%.9g,\"reps\":%d,\"min_s\":%.9g,\"max_s\":%.9g,\"checksum\":%lld}\n",
-              median(samples), reps, *std::min_element(samples.begin(), samples.end()),
+              median(samples), kSetupReps, *std::min_element(samples.begin(), samples.end()),
               *std::max_element(samples.begin(), samples.end()),
               static_cast<long long>(checksum));
   return 0;
