@@ -6,16 +6,19 @@
 //   * baseline — a frozen copy of the pre-fast-path simulator (per-packet
 //     StateIndex construction, per-hop IdSet allocations, linear in-port
 //     lookup) driven by the same scenario streams, single-threaded;
-//   * scalar   — the SweepEngine with group_routing off: the zero-allocation
-//     per-packet loop (route_packet_fast), single-threaded;
-//   * fast     — the SweepEngine on its default group-parallel path
-//     (route_groups_fast: 64-packet lockstep chunks, word-packed seen bits,
+//   * scalar   — a bench-local per-packet loop over the same zero-copy
+//     batches with the engine's promise split (one IncrementalConnectivity
+//     move per multi-scenario group, connected_fast for singletons) and one
+//     zero-allocation route_packet_fast call per admitted packet,
+//     single-threaded: the reference the group-routing gate divides by;
+//   * fast     — the SweepEngine, whose one batch loop routes through
+//     route_groups_fast (64-packet lockstep chunks, word-packed seen bits,
 //     memoized forwarding decisions), at 1 and N threads.
 //
 // The driver *asserts* that all four produce bit-identical SweepStats and
 // exits nonzero otherwise, so the speedup numbers can never come from
 // diverging semantics. The baseline arm pulls scenarios through the legacy
-// per-Scenario wrapper while the engine arms ride the zero-copy batches, so
+// per-Scenario wrapper while the other arms ride the zero-copy batches, so
 // the assertion also pins wrapper == batch-path semantics on every stream.
 // A separate source-only column drains each source into a ScenarioBatch
 // with no simulation at all, so scenario-production regressions show up in
@@ -46,6 +49,7 @@
 #include "orchestrate/supervisor.hpp"
 #include "graph/builders.hpp"
 #include "graph/connectivity.hpp"
+#include "graph/incremental_connectivity.hpp"
 #include "graph/minors.hpp"
 #include "graph/planarity.hpp"
 #include "resilience/algorithm1_k5.hpp"
@@ -180,6 +184,52 @@ SweepStats run_reference_sweep(const Graph& g, const ForwardingPattern& pattern,
   }
   return stats;
 }
+
+/// The per-packet arm: what the engine computes (compute_stretch off, no
+/// oracle), one route_packet_fast call per promise-holding scenario. Its
+/// scratch persists across runs, as the engine's pooled worker slots do.
+class ScalarSweep {
+ public:
+  explicit ScalarSweep(const Graph& g) : ctx_(g), inc_(g) {}
+
+  SweepStats run(const ForwardingPattern& pattern, ScenarioSource& source) {
+    SweepStats stats;
+    while (const int n = source.next_batch(256, batch_)) {
+      for (int begin = 0; begin < n;) {
+        const int grp = batch_.group_of(begin);
+        int end = begin + 1;
+        while (end < n && batch_.group_of(end) == grp) ++end;
+        const IdSet& failures = batch_.group_failures(grp);
+        const int fcount = failures.count();
+        const bool shared = end - begin > 1;
+        if (shared) inc_.move_to(failures);
+        for (int i = begin; i < end; ++i) {
+          const VertexId s = batch_.source(i);
+          const VertexId t = batch_.destination(i);
+          ++stats.total;
+          const bool held = s == t || (shared ? inc_.connected(s, t)
+                                              : connected_fast(ctx_, failures, s, t, ws_));
+          if (!held) {
+            ++stats.promise_broken;
+            continue;
+          }
+          stats.failures_seen += fcount;
+          const FastRouteResult r =
+              route_packet_fast(ctx_, pattern, failures, s, Header{s, t}, ws_);
+          stats.tally_route(r.outcome, r.hops);
+        }
+        begin = end;
+      }
+    }
+    return stats;
+  }
+
+ private:
+  SimContext ctx_;
+  RoutingWorkspace ws_;
+  IncrementalConnectivity inc_;
+  ScenarioBatch batch_;
+};
 
 // ---- measurement harness ---------------------------------------------------
 
@@ -363,10 +413,7 @@ int main(int argc, char** argv) {
     // The four arms are measured interleaved (A/B/C/D, three rounds) and
     // each arm keeps its best round: symmetric best-of defuses the noise a
     // shared box injects into a single long measurement.
-    SweepOptions optsS;
-    optsS.num_threads = 1;
-    optsS.group_routing = false;
-    const SweepEngine engineS(optsS);
+    ScalarSweep scalar(*w.g);
     SweepOptions opts1;
     opts1.num_threads = 1;
     const SweepEngine engine1(opts1);
@@ -382,7 +429,7 @@ int main(int argc, char** argv) {
       });
       const Measured s1 = measure_sweep_once([&] {
         w.source->reset();
-        return engineS.run(*w.g, *w.pattern, *w.source);
+        return scalar.run(*w.pattern, *w.source);
       });
       const Measured f1 = measure_sweep_once([&] {
         w.source->reset();

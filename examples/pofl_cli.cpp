@@ -230,37 +230,6 @@ int cmd_attack(const std::string& path, VertexId s, VertexId t) {
 int emit_and_check(const std::string& serialized, const std::string& json_path,
                    const std::string& check_path);  // defined with the sweep machinery below
 
-/// Builds the named forwarding pattern for the min-defeat command. Specs match
-/// the corpus families: bare names for the deterministic patterns, a
-/// ":<seed>" suffix for the randomized ones.
-std::unique_ptr<ForwardingPattern> make_named_pattern(const std::string& spec, const Graph& g) {
-  constexpr RoutingModel kModel = RoutingModel::kSourceDestination;
-  if (spec == "shortest-path") return make_shortest_path_pattern(kModel, g);
-  if (spec == "id-cyclic") return make_id_cyclic_pattern(kModel);
-  if (spec == "bounce-shy") return make_bounce_shy_pattern(kModel, g);
-  const auto colon = spec.find(':');
-  if (colon != std::string::npos) {
-    long seed = 0;
-    if (!parse_long(spec.c_str() + colon + 1, seed) || seed < 0) {
-      std::fprintf(stderr, "error: pattern seed must be a non-negative integer in '%s'\n",
-                   spec.c_str());
-      return nullptr;
-    }
-    const std::string family = spec.substr(0, colon);
-    if (family == "random-cyclic") {
-      return make_random_cyclic_pattern(kModel, g, static_cast<uint64_t>(seed));
-    }
-    if (family == "random-stateless") {
-      return make_random_stateless_pattern(kModel, static_cast<uint64_t>(seed));
-    }
-  }
-  std::fprintf(stderr,
-               "error: unknown pattern '%s' (want shortest-path, id-cyclic, bounce-shy, "
-               "random-cyclic:<seed> or random-stateless:<seed>)\n",
-               spec.c_str());
-  return nullptr;
-}
-
 struct MinDefeatConfig {
   std::string graph_path;
   std::string pattern_spec;
@@ -287,8 +256,18 @@ int cmd_min_defeat(const MinDefeatConfig& cfg) {
                  net->name.c_str(), g.num_edges(), EdgeMask::kMaxBits);
     return 1;
   }
-  const auto pattern = make_named_pattern(cfg.pattern_spec, g);
-  if (pattern == nullptr) return 2;
+  bool bad_seed = false;
+  const auto pattern = make_named_pattern(cfg.pattern_spec, g, &bad_seed);
+  if (pattern == nullptr) {
+    if (bad_seed) {
+      std::fprintf(stderr, "error: pattern seed must be a non-negative integer in '%s'\n",
+                   cfg.pattern_spec.c_str());
+    } else {
+      std::fprintf(stderr, "error: unknown pattern '%s' (want %s)\n", cfg.pattern_spec.c_str(),
+                   kNamedPatterns);
+    }
+    return 2;
+  }
 
   SearchOptions opts;
   if (cfg.enumerate) opts.strategy = SearchStrategy::kEnumerate;

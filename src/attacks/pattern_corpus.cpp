@@ -1,6 +1,8 @@
 #include "attacks/pattern_corpus.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <random>
 
 #include "graph/connectivity.hpp"
@@ -251,6 +253,33 @@ std::vector<std::unique_ptr<ForwardingPattern>> make_pattern_corpus(RoutingModel
     corpus.push_back(make_random_stateless_pattern(model, rng()));
   }
   return corpus;
+}
+
+std::unique_ptr<ForwardingPattern> make_named_pattern(const std::string& spec, const Graph& g,
+                                                      bool* bad_seed) {
+  constexpr RoutingModel kModel = RoutingModel::kSourceDestination;
+  if (bad_seed != nullptr) *bad_seed = false;
+  if (spec == "shortest-path") return make_shortest_path_pattern(kModel, g);
+  if (spec == "id-cyclic") return make_id_cyclic_pattern(kModel);
+  if (spec == "bounce-shy") return make_bounce_shy_pattern(kModel, g);
+  const auto colon = spec.find(':');
+  if (colon == std::string::npos) return nullptr;
+  const char* const seed_text = spec.c_str() + colon + 1;
+  char* end = nullptr;
+  errno = 0;
+  const long seed = std::strtol(seed_text, &end, 10);
+  if (end == seed_text || *end != '\0' || errno == ERANGE || seed < 0) {
+    if (bad_seed != nullptr) *bad_seed = true;
+    return nullptr;
+  }
+  const std::string family = spec.substr(0, colon);
+  if (family == "random-cyclic") {
+    return make_random_cyclic_pattern(kModel, g, static_cast<uint64_t>(seed));
+  }
+  if (family == "random-stateless") {
+    return make_random_stateless_pattern(kModel, static_cast<uint64_t>(seed));
+  }
+  return nullptr;
 }
 
 }  // namespace pofl

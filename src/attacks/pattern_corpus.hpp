@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "routing/forwarding.hpp"
@@ -47,5 +48,19 @@ namespace pofl {
 /// randomized ones).
 [[nodiscard]] std::vector<std::unique_ptr<ForwardingPattern>> make_pattern_corpus(
     RoutingModel model, const Graph& g, int random_variants = 3, uint64_t seed = 1);
+
+/// The spellings make_named_pattern accepts, as error messages list them.
+inline constexpr const char* kNamedPatterns =
+    "shortest-path, id-cyclic, bounce-shy, random-cyclic:<seed> or random-stateless:<seed>";
+
+/// Builds a source-destination pattern from its name — the spec language of
+/// `pofl_cli min-defeat` and the daemon's min-defeat requests: a bare family
+/// name for the deterministic patterns, "<family>:<seed>" with a
+/// non-negative decimal seed for the randomized ones. Returns nullptr on an
+/// unknown name; `bad_seed` (when given) then tells whether the spec had a
+/// ':' followed by a malformed seed.
+[[nodiscard]] std::unique_ptr<ForwardingPattern> make_named_pattern(const std::string& spec,
+                                                                    const Graph& g,
+                                                                    bool* bad_seed = nullptr);
 
 }  // namespace pofl

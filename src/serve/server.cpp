@@ -6,6 +6,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -197,32 +200,6 @@ std::unique_ptr<ScenarioSource> make_source(const SourceSpec& spec, const Graph&
   }
 }
 
-/// The named-pattern factory for min-defeat requests — the same spec
-/// language as `pofl_cli min-defeat`.
-std::unique_ptr<ForwardingPattern> make_pattern_for_spec(const std::string& spec,
-                                                         const Graph& g) {
-  constexpr RoutingModel kModel = RoutingModel::kSourceDestination;
-  if (spec == "shortest-path") return make_shortest_path_pattern(kModel, g);
-  if (spec == "id-cyclic") return make_id_cyclic_pattern(kModel);
-  if (spec == "bounce-shy") return make_bounce_shy_pattern(kModel, g);
-  const auto colon = spec.find(':');
-  if (colon != std::string::npos) {
-    const std::string seed_text = spec.substr(colon + 1);
-    char* end = nullptr;
-    errno = 0;
-    const long seed = std::strtol(seed_text.c_str(), &end, 10);
-    if (end == seed_text.c_str() || *end != '\0' || errno == ERANGE || seed < 0) return nullptr;
-    const std::string family = spec.substr(0, colon);
-    if (family == "random-cyclic") {
-      return make_random_cyclic_pattern(kModel, g, static_cast<uint64_t>(seed));
-    }
-    if (family == "random-stateless") {
-      return make_random_stateless_pattern(kModel, static_cast<uint64_t>(seed));
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 SweepServer::SweepServer(ServeOptions opts)
@@ -391,11 +368,9 @@ std::string SweepServer::handle_request(const std::string& line) {
                   " links, above the exact-search limit of " +
                   std::to_string(EdgeMask::kMaxBits));
     }
-    const auto pattern = make_pattern_for_spec(pattern_spec, g);
+    const auto pattern = make_named_pattern(pattern_spec, g);
     if (pattern == nullptr) {
-      return fail("unknown pattern '" + pattern_spec +
-                  "' (want shortest-path, id-cyclic, bounce-shy, random-cyclic:<seed> or "
-                  "random-stateless:<seed>)");
+      return fail("unknown pattern '" + pattern_spec + "' (want " + kNamedPatterns + ")");
     }
 
     const std::string key = "min-defeat|" + entry->hash + "|pattern=" + pattern_spec +
@@ -596,12 +571,26 @@ void SweepServer::forget_connection(int fd) {
 }
 
 void SweepServer::run() {
-  std::vector<std::thread> handlers;
+  constexpr int kPollMs = 200;  // short timeout: stop() polls the flag
+  // Each handler flags its own exit, so the accept loop can join finished
+  // connections as it goes instead of holding every thread until shutdown.
+  struct Handler {
+    std::unique_ptr<std::atomic<bool>> done;
+    std::thread thread;
+  };
+  std::vector<Handler> handlers;
+  const auto reap_finished = [&handlers] {
+    for (Handler& h : handlers) {
+      if (h.done->load(std::memory_order_acquire)) h.thread.join();
+    }
+    std::erase_if(handlers, [](const Handler& h) { return !h.thread.joinable(); });
+  };
   while (!stop_requested()) {
+    reap_finished();
     pollfd pfd{};
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
-    const int ready = poll(&pfd, 1, 200);  // short timeout: stop() polls the flag
+    const int ready = poll(&pfd, 1, kPollMs);
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
@@ -610,13 +599,25 @@ void SweepServer::run() {
     const int fd = accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM) {
+        // Out of descriptors or kernel memory: the pending connection stays
+        // queued, so back off one poll interval (the listen socket would
+        // report it ready at once) while handlers finish and free theirs.
+        std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+        continue;
+      }
       break;
     }
     {
       std::lock_guard<std::mutex> lock(conn_mutex_);
       conn_fds_.push_back(fd);
     }
-    handlers.emplace_back([this, fd] { serve_connection(fd); });
+    handlers.push_back(Handler{std::make_unique<std::atomic<bool>>(false), {}});
+    std::atomic<bool>* const done = handlers.back().done.get();
+    handlers.back().thread = std::thread([this, fd, done] {
+      serve_connection(fd);
+      done->store(true, std::memory_order_release);
+    });
   }
   // Stop accepting, then unblock every connection read so handlers drain.
   close(listen_fd_);
@@ -625,7 +626,7 @@ void SweepServer::run() {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     for (const int fd : conn_fds_) shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& t : handlers) t.join();
+  for (Handler& h : handlers) h.thread.join();
 }
 
 }  // namespace pofl

@@ -86,8 +86,10 @@ class SweepServer {
   [[nodiscard]] bool start(std::string& error);
   [[nodiscard]] int port() const { return bound_port_; }
 
-  /// Serves until stop() (or a shutdown request). Joins every connection
-  /// thread before returning — no orphaned handlers.
+  /// Serves until stop() (or a shutdown request). Finished connection
+  /// threads are joined as the accept loop goes, the rest before returning —
+  /// no orphaned handlers. Running out of descriptors (EMFILE and kin) backs
+  /// off and keeps accepting; it never stops the daemon.
   void run();
 
   /// Requests shutdown. Only stores an atomic flag, so it is safe from a

@@ -13,8 +13,8 @@
 // columns — and the engine reads straight out of it. Scenarios that share a
 // failure set share one IdSet in the batch instead of each carrying a copy,
 // and consecutive entries are grouped by failure set, so failure-set-major
-// streams stay failure-set-major all the way into the workers' promise memo
-// and the ConnectivityOracle. The legacy per-Scenario API survives as a thin
+// streams stay failure-set-major all the way into the workers' per-group
+// promise check and the ConnectivityOracle. The legacy per-Scenario API survives as a thin
 // wrapper (ScenarioSource::next_batch over std::vector<Scenario>) that
 // materializes copies from the same batched production.
 //

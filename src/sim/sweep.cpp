@@ -61,116 +61,6 @@ void SweepReport::merge(const SweepReport& other) {
 
 namespace {
 
-/// Worker-local memo for the default connectivity promise. Scenario streams
-/// are failure-set-major (every pair is asked under F before the next F
-/// appears), so consecutive scenarios usually share their failure set, and
-/// consecutive *failure sets* usually differ only in a low-edge-id suffix
-/// (Gosper enumeration). The memo starts lazy — the first query per F is an
-/// early-exit BFS — and switches to the rollback union-find exactly while
-/// the previous F proved to repeat: a failure-set-major stream then pays an
-/// O(1)-amortized incremental move per Gosper step (in place of the full
-/// component labeling this memo used to rebuild per F), while a pair-major
-/// stream (where a repeat is a coincidence, e.g. two identical Monte Carlo
-/// draws) falls back to the cheaper single-query BFS on the very next F.
-/// All methods give the same boolean answer, so every sweep counter is
-/// identical whichever path runs; the structure is reused across the
-/// worker's whole run, so steady state stays allocation-free.
-struct PromiseMemo {
-  IdSet failures;
-  bool have_failures = false;
-  bool inc_synced = false;        // inc reflects `failures`
-  bool current_repeated = false;  // the memoized F received a second query
-  std::unique_ptr<IncrementalConnectivity> inc;  // lazy: Monte Carlo never builds it
-};
-
-/// Points memo.inc at G \ failures (building it on first use).
-void memo_sync_incremental(const Graph& g, const IdSet& failures, PromiseMemo& memo) {
-  if (memo.inc == nullptr) memo.inc = std::make_unique<IncrementalConnectivity>(g);
-  memo.inc->move_to(failures);
-  memo.inc_synced = true;
-}
-
-bool promise_connected(const SimContext& ctx, const IdSet& failures, VertexId source,
-                       VertexId destination, RoutingWorkspace& ws, PromiseMemo& memo) {
-  if (source == destination) return true;
-  if (memo.have_failures && memo.failures == failures) {
-    memo.current_repeated = true;
-    if (!memo.inc_synced) memo_sync_incremental(ctx.graph(), failures, memo);
-    return memo.inc->connected(source, destination);
-  }
-  const bool eager = memo.current_repeated;
-  memo.failures = failures;
-  memo.have_failures = true;
-  memo.inc_synced = false;
-  memo.current_repeated = false;
-  if (eager) {
-    memo_sync_incremental(ctx.graph(), failures, memo);
-    return memo.inc->connected(source, destination);
-  }
-  return connected_fast(ctx, failures, source, destination, ws);
-}
-
-/// Tallies one scenario into stats and reports whether it is a resilience
-/// violation (promise held, but not delivered / tour incomplete). The
-/// failure set is borrowed from the batch's group storage — nothing here
-/// copies it. Runs the zero-allocation simulator fast path against the
-/// per-run SimContext and the worker's RoutingWorkspace — callers that need
-/// a witness walk re-simulate the one scenario they care about.
-/// `promise_scratch` is a worker-reused Scenario, materialized only when a
-/// custom promise predicate needs the legacy (Graph, Scenario) signature.
-bool process_scenario(const SimContext& ctx, const ForwardingPattern& pattern,
-                      const IdSet& failures, VertexId source, VertexId destination,
-                      const SweepOptions& opts, SweepStats& stats, RoutingWorkspace& ws,
-                      PromiseMemo& memo, Scenario& promise_scratch) {
-  const Graph& g = ctx.graph();
-  ++stats.total;
-
-  const auto custom_promise_holds = [&]() {
-    promise_scratch.failures = failures;  // assignment reuses its storage
-    promise_scratch.source = source;
-    promise_scratch.destination = destination;
-    return opts.promise(g, promise_scratch);
-  };
-
-  if (destination == kNoVertex) {
-    // Touring: the promise holds unconditionally (§VII) unless a custom
-    // promise narrows it.
-    if (opts.promise && !custom_promise_holds()) {
-      ++stats.promise_broken;
-      return false;
-    }
-    stats.failures_seen += failures.count();
-    const FastTourResult r = tour_packet_fast(ctx, pattern, failures, source, ws);
-    stats.tally_tour(r.success, r.dropped, r.steps_walked);
-    return !r.success;
-  }
-
-  bool held;
-  if (opts.promise) {
-    held = custom_promise_holds();
-  } else if (opts.oracle != nullptr) {
-    held = opts.oracle->connected(source, destination, failures);
-  } else {
-    held = promise_connected(ctx, failures, source, destination, ws, memo);
-  }
-  if (!held) {
-    ++stats.promise_broken;
-    return false;
-  }
-
-  stats.failures_seen += failures.count();
-  const FastRouteResult r =
-      route_packet_fast(ctx, pattern, failures, source, Header{source, destination}, ws);
-  stats.tally_route(r.outcome, r.hops);
-  if (r.outcome == RoutingOutcome::kDelivered && opts.compute_stretch) {
-    // BFS only on delivery: undelivered and promise-broken scenarios never
-    // need the distance.
-    const auto dist = distance(g, source, destination, failures);
-    if (dist.has_value() && *dist >= 1) stats.tally_stretch(r.hops, *dist);
-  }
-  return r.outcome != RoutingOutcome::kDelivered;
-}
-
 /// Packs a (source, destination) pair into one map key; kNoVertex
 /// destinations (touring starts) pack like any other value.
 uint64_t pair_key(VertexId s, VertexId t) {
@@ -178,38 +68,54 @@ uint64_t pair_key(VertexId s, VertexId t) {
          static_cast<uint64_t>(static_cast<uint32_t>(t));
 }
 
-/// Worker-reused buffers of the group-parallel consumption path: the routing
-/// request the promise filter admits (with per-packet dense group ordinals
-/// and per-ordinal borrowed failure sets), per-packet result/target columns
-/// (only populated when per-pair rows or stretch need per-packet outcomes),
-/// and the group promise's rollback union-find.
-struct GroupScratch {
+/// What one batch consumption produces: aggregate tallies, per-pair rows, or
+/// the batch position of the first violation (tallies then go unused).
+enum class BatchMode { kTotals, kPerPair, kFirstViolation };
+
+/// Worker-reused buffers of batch consumption: the routing request the
+/// promise filter admits (with per-packet dense group ordinals and
+/// per-ordinal borrowed failure sets), per-packet target/position/result
+/// columns (populated only in the modes that need per-packet outcomes), the
+/// group promise's rollback union-find, and the Scenario a custom promise
+/// predicate is handed.
+struct BatchScratch {
   std::vector<VertexId> src;
   std::vector<VertexId> dst;
   std::vector<int32_t> ord;          // per packet: dense group ordinal
+  std::vector<int32_t> pos;          // per packet: batch position (kFirstViolation)
   std::vector<const IdSet*> fsets;   // per ordinal: that group's failure set
-  std::vector<SweepStats*> target;   // parallel to src/dst in per-pair mode
+  std::vector<SweepStats*> target;   // per packet: its row (per-pair or stretch)
   std::vector<FastRouteResult> results;
-  std::unique_ptr<IncrementalConnectivity> inc;  // lazy, like PromiseMemo's
+  std::unique_ptr<IncrementalConnectivity> inc;  // lazy: Monte Carlo never builds it
+  Scenario promise_scratch;
 };
 
-/// Consumes one whole batch group-parallel: the scenarios are promise-
-/// filtered group by group in stream order, then every admitted packet of
-/// the batch is routed in a single route_groups_fast call (packets of
-/// different groups share lockstep chunks, so small groups still fill the
-/// 64-wide machinery). Counter-for-counter identical to process_scenario
-/// over the same scenarios: the promise booleans agree (oracle / union-find
-/// / BFS all answer exact connectivity, and the oracle is still consulted
-/// once per scenario so its hit/miss accounting is unchanged), and the group
-/// core's outcomes and hops are bit-identical to route_packet_fast. Touring
-/// scenarios inside a batch take the scalar tour core as before.
-void process_batch_groups(const SimContext& ctx, const ForwardingPattern& pattern,
-                          const ScenarioBatch& batch, int n, const SweepOptions& opts,
-                          bool collect_per_pair, SweepStats& local,
-                          std::unordered_map<uint64_t, SweepStats>& local_pairs,
-                          RoutingWorkspace& ws, PromiseMemo& memo, GroupScratch& scratch) {
+/// Consumes the first n scenarios of a batch — the engine's one scenario
+/// loop, behind run(), run_report() and find_first_violation(). Scenarios
+/// are promise-filtered group by group in stream order, then every admitted
+/// packet of the batch is routed in a single route_groups_fast call (packets
+/// of different groups share lockstep chunks, so small groups still fill
+/// the 64-wide machinery). Touring scenarios take the tour core inline.
+///
+/// The promise is the custom predicate when one is set, else exact s-t
+/// connectivity in G \ F: the oracle (when attached) answers per scenario;
+/// a multi-scenario group moves the rollback union-find once and answers
+/// every pair with two finds; a singleton group (each Monte Carlo draw is
+/// its own group) runs one early-exit BFS. All three give the same boolean,
+/// so every counter is independent of which one answers.
+///
+/// Returns the batch position of the first violation (promise held, packet
+/// not delivered / tour incomplete) in kFirstViolation mode, else -1.
+int process_batch(const SimContext& ctx, const ForwardingPattern& pattern,
+                  const ScenarioBatch& batch, int n, const SweepOptions& opts, BatchMode mode,
+                  SweepStats& local, std::unordered_map<uint64_t, SweepStats>& local_pairs,
+                  RoutingWorkspace& ws, BatchScratch& scratch) {
   const Graph& g = ctx.graph();
-  const bool per_packet = collect_per_pair || opts.compute_stretch;
+  const bool find = mode == BatchMode::kFirstViolation;
+  const bool collect_per_pair = mode == BatchMode::kPerPair;
+  // Stretch is a tally, which the violation search never reads.
+  const bool per_packet = collect_per_pair || (opts.compute_stretch && !find);
+  const bool custom = static_cast<bool>(opts.promise);
   // Packing goes through raw pointers into worker-persistent arrays sized to
   // the batch (capacity sticks across batches, so the resizes are free in
   // steady state) — the admission loop runs per scenario and push_back's
@@ -219,16 +125,17 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
     scratch.src.resize(un);
     scratch.dst.resize(un);
     scratch.ord.resize(un);
-    if (per_packet) scratch.target.resize(un);
-  } else if (per_packet && scratch.target.size() < un) {
-    scratch.target.resize(un);
   }
+  if (per_packet && scratch.target.size() < un) scratch.target.resize(un);
+  if (find && scratch.pos.size() < un) scratch.pos.resize(un);
   scratch.fsets.clear();
   VertexId* const sp = scratch.src.data();
   VertexId* const dp = scratch.dst.data();
   int32_t* const op = scratch.ord.data();
-  SweepStats** const tp = per_packet ? scratch.target.data() : nullptr;
+  int32_t* const pp = scratch.pos.data();
+  SweepStats** const tp = scratch.target.data();
   int admitted = 0;
+  int first = n;  // first violating position so far (kFirstViolation)
 
   for (int begin = 0; begin < n;) {
     const int grp = batch.group_of(begin);
@@ -238,17 +145,17 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
     const int fcount = failures.count();
     const int span = end - begin;
 
-    // Default-promise strategy: the oracle (when attached) answers per
-    // scenario, keeping its counters identical to the scalar path; a
-    // multi-scenario group moves the rollback union-find once and answers
-    // every pair with two finds; a singleton group (each Monte Carlo draw is
-    // its own group) keeps the lazy early-exit BFS — same split the scalar
-    // PromiseMemo converges to on those streams.
+    if (custom) scratch.promise_scratch.failures = failures;  // reuses its storage
+    const auto custom_holds = [&](VertexId s, VertexId t) {
+      scratch.promise_scratch.source = s;
+      scratch.promise_scratch.destination = t;
+      return opts.promise(g, scratch.promise_scratch);
+    };
     bool inc_ready = false;
-    const auto promise_holds = [&](VertexId s, VertexId t) {
+    const auto connected_holds = [&](VertexId s, VertexId t) {
       if (s == t) return true;
       if (opts.oracle != nullptr) return opts.oracle->connected(s, t, failures);
-      if (span == 1) return promise_connected(ctx, failures, s, t, ws, memo);
+      if (span == 1) return connected_fast(ctx, failures, s, t, ws);
       if (!inc_ready) {
         if (scratch.inc == nullptr) {
           scratch.inc = std::make_unique<IncrementalConnectivity>(g);
@@ -267,24 +174,28 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
     for (int i = begin; i < end; ++i) {
       const VertexId s = batch.source(i);
       const VertexId t = batch.destination(i);
-      if (t == kNoVertex) {
-        // Touring: the promise holds unconditionally (§VII). Rare enough in
-        // a routing-heavy stream that its tallies stay per scenario — except
-        // `total`, which the aggregate path adds group-wide below.
-        SweepStats& st = collect_per_pair ? local_pairs[pair_key(s, t)] : local;
-        if (collect_per_pair) ++st.total;
-        st.failures_seen += fcount;
-        const FastTourResult r = tour_packet_fast(ctx, pattern, failures, s, ws);
-        st.tally_tour(r.success, r.dropped, r.steps_walked);
-        ++toured;
-        continue;
-      }
-      if (!promise_holds(s, t)) {
+      // Touring holds unconditionally (§VII) unless a custom promise
+      // narrows it.
+      const bool held = custom ? custom_holds(s, t) : t == kNoVertex || connected_holds(s, t);
+      if (!held) {
         if (collect_per_pair) {
           SweepStats& st = local_pairs[pair_key(s, t)];
           ++st.total;
           ++st.promise_broken;
         }
+        continue;
+      }
+      if (t == kNoVertex) {
+        // Rare enough in a routing-heavy stream that its tallies stay per
+        // scenario — except `total`, which the aggregate path adds
+        // group-wide below.
+        SweepStats& st = collect_per_pair ? local_pairs[pair_key(s, t)] : local;
+        if (collect_per_pair) ++st.total;
+        st.failures_seen += fcount;
+        const FastTourResult r = tour_packet_fast(ctx, pattern, failures, s, ws);
+        st.tally_tour(r.success, r.dropped, r.steps_walked);
+        if (find && !r.success) first = std::min(first, i);
+        ++toured;
         continue;
       }
       if (ord < 0) {
@@ -294,6 +205,7 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
       sp[admitted] = s;
       dp[admitted] = t;
       op[admitted] = ord;
+      if (find) pp[admitted] = i;
       if (per_packet) {
         // Pointers into local_pairs stay valid across later insertions (the
         // map is node-based), so admitted packets' rows resolve up front.
@@ -306,46 +218,53 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
       }
       ++admitted;
     }
-    const int group_admitted = admitted - group_first;
     if (!collect_per_pair) {
       // Aggregate mode folds the group's per-scenario counters in bulk: the
       // per-pair identities (total = sum of rows, etc.) don't apply here, so
       // one add per group replaces one per scenario.
+      const int group_admitted = admitted - group_first;
       local.total += span;
       local.promise_broken += span - toured - group_admitted;
       local.failures_seen += static_cast<int64_t>(fcount) * group_admitted;
     }
     begin = end;
   }
-  if (admitted == 0) return;
+  FastRouteResult* results = nullptr;
+  if (per_packet || find) {
+    scratch.results.resize(static_cast<size_t>(admitted));
+    results = scratch.results.data();
+  }
+  const GroupRouteTally tally =
+      route_groups_fast(ctx, pattern, scratch.fsets.data(), op, sp, dp, admitted, ws, results);
+  if (find) {
+    // Admitted packets are in stream order: the first undelivered one is
+    // the earliest routing violation.
+    for (int k = 0; k < admitted && pp[k] < first; ++k) {
+      if (results[k].outcome != RoutingOutcome::kDelivered) first = pp[k];
+    }
+    return first < n ? first : -1;
+  }
   if (!per_packet) {
     // Aggregate mode: fold the vectorized popcount tallies straight in.
-    const GroupRouteTally t =
-        route_groups_fast(ctx, pattern, scratch.fsets.data(), scratch.ord.data(),
-                          scratch.src.data(), scratch.dst.data(), admitted, ws, nullptr);
-    local.delivered += t.delivered;
-    local.looped += t.looped;
-    local.dropped += t.dropped;
-    local.invalid += t.invalid;
-    local.hops_delivered += t.hops_delivered;
-    return;
+    local.delivered += tally.delivered;
+    local.looped += tally.looped;
+    local.dropped += tally.dropped;
+    local.invalid += tally.invalid;
+    local.hops_delivered += tally.hops_delivered;
+    return -1;
   }
-  scratch.results.resize(static_cast<size_t>(admitted));
-  (void)route_groups_fast(ctx, pattern, scratch.fsets.data(), scratch.ord.data(),
-                          scratch.src.data(), scratch.dst.data(), admitted, ws,
-                          scratch.results.data());
   for (int k = 0; k < admitted; ++k) {
-    SweepStats& st = *scratch.target[static_cast<size_t>(k)];
-    const FastRouteResult& r = scratch.results[static_cast<size_t>(k)];
+    SweepStats& st = *tp[k];
+    const FastRouteResult& r = results[k];
     st.tally_route(r.outcome, r.hops);
     if (r.outcome == RoutingOutcome::kDelivered && opts.compute_stretch) {
-      const int32_t ord = scratch.ord[static_cast<size_t>(k)];
-      const IdSet& failures = *scratch.fsets[static_cast<size_t>(ord)];
-      const auto dist = distance(g, scratch.src[static_cast<size_t>(k)],
-                                 scratch.dst[static_cast<size_t>(k)], failures);
+      // BFS only on delivery: undelivered and promise-broken scenarios never
+      // need the distance.
+      const auto dist = distance(g, sp[k], dp[k], *scratch.fsets[static_cast<size_t>(op[k])]);
       if (dist.has_value() && *dist >= 1) st.tally_stretch(r.hops, *dist);
     }
   }
+  return -1;
 }
 
 /// Worker count: the requested number (0 = hardware concurrency), capped at
@@ -381,13 +300,11 @@ void run_on_pool(int num_threads, const std::function<void()>& worker) {
 /// boundaries. What persists usefully is the RoutingWorkspace: its packed
 /// decision cache stays warm across repeated sweeps of the same (graph,
 /// pattern) — begin_session compares uids and only flushes on a change. The
-/// promise memos also persist their storage, but their graph-pointing
-/// internals (the union-finds) are dropped at checkout; see checkout_slot.
+/// batch scratch also persists its storage, but its graph-pointing
+/// union-find is dropped at checkout; see checkout_slot.
 struct SweepEngine::WorkerSlot {
   RoutingWorkspace ws;
-  PromiseMemo memo;
-  Scenario promise_scratch;
-  GroupScratch scratch;
+  BatchScratch scratch;
   std::unordered_map<uint64_t, SweepStats> local_pairs;
   ScenarioBatch batch;
 };
@@ -406,16 +323,12 @@ std::unique_ptr<SweepEngine::WorkerSlot> SweepEngine::checkout_slot() const {
     }
   }
   if (slot == nullptr) slot = std::make_unique<WorkerSlot>();
-  // The promise union-finds hold a pointer to the graph they were built
-  // from, which this run's graph need not outlive-match even when the uids
-  // agree (a structurally identical copy shares the uid but not the
-  // address). Dropping them is cheap — they rebuild lazily, at most once per
-  // run. Everything else in the slot is either self-revalidating (the
-  // decision cache, via uids in begin_session) or plain reusable storage.
-  slot->memo.have_failures = false;
-  slot->memo.inc_synced = false;
-  slot->memo.current_repeated = false;
-  slot->memo.inc.reset();
+  // The promise union-find holds a pointer to the graph it was built from,
+  // which this run's graph need not outlive-match even when the uids agree
+  // (a structurally identical copy shares the uid but not the address).
+  // Dropping it is cheap — it rebuilds lazily, at most once per run.
+  // Everything else in the slot is either self-revalidating (the decision
+  // cache, via uids in begin_session) or plain reusable storage.
   slot->scratch.inc.reset();
   slot->local_pairs.clear();
   return slot;
@@ -440,6 +353,7 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
                                   ScenarioSource& source, bool collect_per_pair) const {
   const int batch_size = std::max(1, opts_.batch_size);
   const int num_threads = resolve_threads(opts_.num_threads, source, batch_size);
+  const BatchMode mode = collect_per_pair ? BatchMode::kPerPair : BatchMode::kTotals;
 
   const int64_t oracle_hits_before = opts_.oracle != nullptr ? opts_.oracle->hits() : 0;
   const int64_t oracle_misses_before = opts_.oracle != nullptr ? opts_.oracle->misses() : 0;
@@ -454,11 +368,6 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
   std::mutex source_mutex;
   std::mutex stats_mutex;
 
-  // The group-parallel path handles the default and oracle promises; a
-  // custom predicate must see scenarios one at a time, so it keeps the
-  // scalar loop (as does group_routing = false, the A/B toggle).
-  const bool use_groups = opts_.group_routing && !opts_.promise;
-
   auto worker = [&]() {
     std::unique_ptr<WorkerSlot> slot_owner = checkout_slot();
     WorkerSlot& slot = *slot_owner;
@@ -470,20 +379,8 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
         n = source.next_batch(batch_size, slot.batch);
       }
       if (n == 0) break;
-      if (use_groups) {
-        process_batch_groups(ctx, pattern, slot.batch, n, opts_, collect_per_pair, local,
-                             slot.local_pairs, slot.ws, slot.memo, slot.scratch);
-        continue;
-      }
-      for (int i = 0; i < n; ++i) {
-        SweepStats& target =
-            collect_per_pair
-                ? slot.local_pairs[pair_key(slot.batch.source(i), slot.batch.destination(i))]
-                : local;
-        process_scenario(ctx, pattern, slot.batch.failures(i), slot.batch.source(i),
-                         slot.batch.destination(i), opts_, target, slot.ws, slot.memo,
-                         slot.promise_scratch);
-      }
+      (void)process_batch(ctx, pattern, slot.batch, n, opts_, mode, local, slot.local_pairs,
+                          slot.ws, slot.scratch);
     }
     {
       const std::lock_guard<std::mutex> lock(stats_mutex);
@@ -548,7 +445,7 @@ std::optional<SweepFinding> SweepEngine::find_first_violation(const Graph& g,
   auto worker = [&]() {
     std::unique_ptr<WorkerSlot> slot_owner = checkout_slot();
     WorkerSlot& slot = *slot_owner;
-    SweepStats scratch;
+    SweepStats unused;  // the search reads violations, not tallies
     for (;;) {
       int64_t start = 0;
       int n = 0;
@@ -556,39 +453,37 @@ std::optional<SweepFinding> SweepEngine::find_first_violation(const Graph& g,
         const std::lock_guard<std::mutex> lock(source_mutex);
         const int64_t remaining = best.load(std::memory_order_acquire) - produced;
         if (remaining <= 0) break;
-        const int want =
-            static_cast<int>(std::min<int64_t>(batch_size, remaining));
+        const int want = static_cast<int>(std::min<int64_t>(batch_size, remaining));
         n = source.next_batch(want, slot.batch);
         if (n == 0) break;
         start = produced;
         produced += n;
       }
-      for (int i = 0; i < n; ++i) {
-        const int64_t index = start + i;
-        if (index >= best.load(std::memory_order_relaxed)) break;
-        if (!process_scenario(ctx, pattern, slot.batch.failures(i), slot.batch.source(i),
-                              slot.batch.destination(i), opts_, scratch, slot.ws, slot.memo,
-                              slot.promise_scratch)) {
-          continue;
+      // Another worker may have pinned an earlier violation since the batch
+      // was cut: its tail cannot improve the minimum.
+      n = static_cast<int>(std::min<int64_t>(n, best.load(std::memory_order_relaxed) - start));
+      if (n <= 0) continue;
+      const int first = process_batch(ctx, pattern, slot.batch, n, opts_,
+                                      BatchMode::kFirstViolation, unused, slot.local_pairs,
+                                      slot.ws, slot.scratch);
+      if (first < 0) continue;
+      const int64_t index = start + first;
+      const std::lock_guard<std::mutex> lock(best_mutex);
+      if (index < best.load(std::memory_order_relaxed)) {
+        best.store(index, std::memory_order_release);
+        // Re-simulate only the winning candidate with walk recording: the
+        // simulation is deterministic, so the witness is identical, and the
+        // batch loop stays on the zero-allocation path.
+        SweepFinding f;
+        f.index = index;
+        f.scenario = slot.batch.scenario(first);
+        if (f.scenario.destination == kNoVertex) {
+          f.tour = tour_packet(ctx, pattern, f.scenario.failures, f.scenario.source, slot.ws);
+        } else {
+          f.routing = route_packet(ctx, pattern, f.scenario.failures, f.scenario.source,
+                                   Header{f.scenario.source, f.scenario.destination}, slot.ws);
         }
-        const std::lock_guard<std::mutex> lock(best_mutex);
-        if (index < best.load(std::memory_order_relaxed)) {
-          best.store(index, std::memory_order_release);
-          // Re-simulate only the winning candidate with walk recording: the
-          // simulation is deterministic, so the witness is identical, and
-          // the hot loop above stays on the zero-allocation path.
-          SweepFinding f;
-          f.index = index;
-          f.scenario = slot.batch.scenario(i);
-          if (f.scenario.destination == kNoVertex) {
-            f.tour = tour_packet(ctx, pattern, f.scenario.failures, f.scenario.source, slot.ws);
-          } else {
-            f.routing = route_packet(ctx, pattern, f.scenario.failures, f.scenario.source,
-                                     Header{f.scenario.source, f.scenario.destination}, slot.ws);
-          }
-          finding = std::move(f);
-        }
-        break;  // later scenarios in this batch have larger indices
+        finding = std::move(f);
       }
     }
     checkin_slot(std::move(slot_owner));

@@ -5,7 +5,7 @@
 // Every bench used to hand-roll the same triple loop — graphs x failure sets
 // x (source, destination) pairs — around route_packet. The SweepEngine
 // factors that loop out once: a ScenarioSource streams (F, s, t) questions,
-// a worker pool batches them through route_packet / tour_packet, and the
+// a worker pool batches them through the routing and touring cores, and the
 // per-worker tallies merge into one SweepStats. All counters are integer
 // sums, so the aggregate is identical for 1 and N threads; the floating
 // stretch sums are order-sensitive only in the last ulp.
@@ -16,19 +16,19 @@
 // per-scenario Scenario construction, no IdSet copies, no allocation in
 // steady state on either side of the producer/consumer boundary.
 //
-// On the default path, workers consume whole batches group-parallel: each
-// batch's scenarios are promise-filtered group by group, then every admitted
-// packet of the batch is routed in one route_groups_fast call — lockstep
-// chunks of up to 64 packets (packets of different failure-set groups share
-// a chunk, so 4-pair exhaustive groups and Monte Carlo singletons still fill
-// the word-packed machinery) whose seen/terminated state lives in 64-bit
-// words, with forwarding transitions memoized per (header class, state,
-// local failure mask) in the worker's workspace. Worker scratch persists
-// across runs in an engine-owned pool, so the decision cache stays warm for
-// repeated sweeps of the same (graph, pattern). Outcomes are bit-identical
-// to the scalar per-packet loop (the golden baselines pin this);
-// SweepOptions::group_routing toggles the path for A/B measurement, and
-// custom PromiseChecks fall back to the scalar loop.
+// Every entry point consumes whole batches through one loop: each batch's
+// scenarios are promise-filtered group by group in stream order, then every
+// admitted packet of the batch is routed in one route_groups_fast call —
+// lockstep chunks of up to 64 packets (packets of different failure-set
+// groups share a chunk, so 4-pair exhaustive groups and Monte Carlo
+// singletons still fill the word-packed machinery) whose seen/terminated
+// state lives in 64-bit words, with forwarding transitions memoized per
+// (header class, state, local failure mask) in the worker's workspace.
+// Worker scratch persists across runs in an engine-owned pool, so the
+// decision cache stays warm for repeated sweeps of the same (graph,
+// pattern). Per packet, outcomes and hop counts are bit-identical to
+// route_packet_fast (tests/group_route_test.cpp checks the engine against a
+// test-local per-scenario loop; the golden baselines pin the bytes).
 //
 // The promise discipline matches the paper: a scenario whose failure set
 // disconnects s from t breaks the promise and is tallied separately — rates
@@ -64,9 +64,10 @@
 namespace pofl {
 
 /// Decides whether a scenario is inside the promise (violations only count
-/// inside it). Called concurrently from workers: must be pure. When unset,
-/// the default promise is "s and t connected in G \ F" for routing scenarios
-/// and "always" for touring scenarios.
+/// inside it). Called concurrently from workers, once per scenario in
+/// stream order within each batch: must be pure. When unset, the default
+/// promise is "s and t connected in G \ F" for routing scenarios and
+/// "always" for touring scenarios.
 using PromiseCheck = std::function<bool(const Graph&, const Scenario&)>;
 
 struct SweepOptions {
@@ -74,14 +75,6 @@ struct SweepOptions {
   int num_threads = 0;
   /// Scenarios handed to a worker per lock acquisition.
   int batch_size = 256;
-  /// Route each batch's admitted packets through the lockstep word-packed
-  /// core (route_groups_fast) instead of one packet at a time. Outcomes, hop
-  /// counts and every SweepStats counter are bit-identical to the scalar
-  /// path — the golden baselines pin this — so the toggle exists for A/B
-  /// benchmarking, not semantics. Ignored (scalar fallback) when a custom
-  /// PromiseCheck is installed: custom predicates see scenarios one at a
-  /// time in stream order.
-  bool group_routing = true;
   /// Also BFS the surviving graph on each delivery to accumulate stretch
   /// (hops / dist_{G\F}(s, t)). Costs one BFS per delivered scenario.
   bool compute_stretch = false;
@@ -177,8 +170,9 @@ struct SweepStats {
   void merge(const SweepStats& other);
 
   /// Tallies one promise-holding routing outcome (hops count only on
-  /// delivery). Shared by the engine, the legacy-loop cross-checks in the
-  /// tests, and the frozen bench baseline so the switch lives once.
+  /// delivery). Shared by the engine's per-pair and stretch tallies, the
+  /// per-scenario reference loops in the tests, and bench_perf's baseline
+  /// and scalar arms, so the switch lives once.
   void tally_route(RoutingOutcome outcome, int hops) {
     switch (outcome) {
       case RoutingOutcome::kDelivered:
@@ -255,7 +249,7 @@ class SweepEngine {
   explicit SweepEngine(SweepOptions opts = {});
   ~SweepEngine();
   // The engine owns a pool of per-worker scratch states (workspaces, promise
-  // memos, decision caches) that persist across runs; pooling makes it
+  // union-finds, decision caches) that persist across runs; pooling makes it
   // non-copyable. Sharing one engine across threads is still fine — the pool
   // hands each concurrent worker its own slot.
   SweepEngine(const SweepEngine&) = delete;
@@ -294,8 +288,8 @@ class SweepEngine {
   [[nodiscard]] const SweepOptions& options() const { return opts_; }
 
  private:
-  // One worker's reusable scratch (workspace + promise memos + batch
-  // storage), checked out of the pool for the duration of a run and returned
+  // One worker's reusable scratch (workspace + promise union-find +
+  // batch storage), checked out of the pool for the duration of a run and returned
   // afterwards. Persisting these across runs is what keeps the routing
   // decision cache warm between run() calls on the same (graph, pattern) —
   // the cache invalidates itself via Graph/ForwardingPattern uids when
@@ -304,8 +298,8 @@ class SweepEngine {
 
   [[nodiscard]] SweepReport run_impl(const Graph& g, const ForwardingPattern& pattern,
                                      ScenarioSource& source, bool collect_per_pair) const;
-  // Pops (or creates) a slot. Structures that point into the previous run's
-  // graph (the promise union-finds) are dropped — they rebuild lazily, once
+  // Pops (or creates) a slot. The one structure that points into the
+  // previous run's graph (the promise union-find) is dropped — it rebuilds lazily, once
   // per run at most. The decision cache is kept: it holds no pointers, and
   // begin_session revalidates it against the Graph/ForwardingPattern uids.
   [[nodiscard]] std::unique_ptr<WorkerSlot> checkout_slot() const;

@@ -1,15 +1,19 @@
 // Group-parallel routing conformance: the lockstep word-packed core
-// (route_group_fast / route_groups_fast) must be bit-identical — outcome and
-// hop count per packet, and every tally — to route_packet_fast, exhaustively
-// over the canonical benchmark workloads; and the SweepEngine's group path
-// must reproduce the scalar path's SweepReport exactly at 1 and N threads,
-// across repeated runs on one engine (warm pooled decision caches), with an
-// oracle attached, and for touring patterns.
+// (route_groups_fast) must be bit-identical — outcome and hop count per
+// packet, and every tally — to route_packet_fast, exhaustively over the
+// canonical benchmark workloads; and the SweepEngine, whose one batch loop
+// rides that core, must reproduce a test-local per-scenario reference loop
+// exactly at 1 and N threads: SweepReports across repeated runs on one
+// engine (warm pooled decision caches), with stretch, an oracle or a custom
+// promise, and for touring patterns, plus find_first_violation's index and
+// witness.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -27,10 +31,9 @@
 namespace pofl {
 namespace {
 
-SweepOptions threads(int n, bool group_routing = true) {
+SweepOptions threads(int n) {
   SweepOptions o;
   o.num_threads = n;
-  o.group_routing = group_routing;
   return o;
 }
 
@@ -58,8 +61,8 @@ void expect_reports_equal(const SweepReport& a, const SweepReport& b, const char
   }
 }
 
-/// Routes every (mask, pair) scenario once through route_group_fast (one
-/// call per failure set, all pairs lockstep) and once through
+/// Routes every (mask, pair) scenario once through route_groups_fast (one
+/// call per failure set, all pairs lockstep in one shared group) and once through
 /// route_packet_fast, asserting bit-identical per-packet results and that
 /// the tally is the exact fold of those results.
 void expect_group_equivalence_exhaustive(
@@ -78,8 +81,9 @@ void expect_group_equivalence_exhaustive(
   const uint64_t limit = uint64_t{1} << g.num_edges();
   for (uint64_t mask = 0; mask < limit; ++mask) {
     const IdSet failures = edge_mask_to_set(g, mask);
-    const GroupRouteTally tally = route_group_fast(ctx, pattern, failures, src.data(), dst.data(),
-                                                   count, group_ws, results.data());
+    const IdSet* const fsets[] = {&failures};
+    const GroupRouteTally tally = route_groups_fast(ctx, pattern, fsets, nullptr, src.data(),
+                                                    dst.data(), count, group_ws, results.data());
     GroupRouteTally refold;
     for (int i = 0; i < count; ++i) {
       const FastRouteResult scalar =
@@ -129,8 +133,8 @@ TEST(GroupRouteFast, BitIdenticalToScalarOnExhaustiveK33) {
 TEST(GroupRoutesFast, MixedGroupsWithDenseOrdinalsSpanChunks) {
   // Pack many failure-set groups of uneven span into single
   // route_groups_fast calls so chunks of 64 packets straddle group
-  // boundaries — the ordinal-slot machinery, not just the single-group
-  // wrapper, is what the engine exercises. K3,3's 512 single/double-failure
+  // boundaries — the ordinal-slot machinery, not just one shared group, is
+  // what the engine exercises. K3,3's 512 single/double-failure
   // masks with a rotating subset of pairs give 16+ groups per call.
   const Graph g = make_complete_bipartite(3, 3);
   const auto pattern = make_shortest_path_pattern(RoutingModel::kDestinationOnly, g);
@@ -214,8 +218,9 @@ TEST(GroupRoutesFast, FatTreeWideGraphSingleFailureStratum) {
     strata.push_back(std::move(f));
   }
   for (const IdSet& failures : strata) {
-    (void)route_group_fast(ctx, *pattern, failures, src.data(), dst.data(),
-                           static_cast<int>(src.size()), group_ws, results.data());
+    const IdSet* const fsets[] = {&failures};
+    (void)route_groups_fast(ctx, *pattern, fsets, nullptr, src.data(), dst.data(),
+                            static_cast<int>(src.size()), group_ws, results.data());
     for (size_t i = 0; i < src.size(); ++i) {
       const FastRouteResult scalar =
           route_packet_fast(ctx, *pattern, failures, src[i], Header{src[i], dst[i]}, scalar_ws);
@@ -225,20 +230,129 @@ TEST(GroupRoutesFast, FatTreeWideGraphSingleFailureStratum) {
   }
 }
 
+// ---- engine vs a per-scenario reference loop -------------------------------
+
+/// What the reference loop computes: the report run_report() must equal
+/// (oracle counters on the totals, as the engine reports them) and the first
+/// violation with its walk-recording witness.
+struct Reference {
+  SweepReport report;
+  std::optional<SweepFinding> first;
+};
+
+/// The engine's semantics spelled one scenario at a time, with none of its
+/// batching, grouping, union-find or lockstep machinery: drain `source`
+/// through the legacy Scenario wrapper; decide the promise (custom
+/// predicate, else touring holds, else the oracle or plain connectivity);
+/// then route_packet_fast / tour_packet_fast, tally_route / tally_tour, and
+/// tally_stretch from distance() on delivery.
+Reference reference_sweep(const Graph& g, const ForwardingPattern& pattern,
+                          ScenarioSource& source, const SweepOptions& opts) {
+  const SimContext ctx(g);
+  RoutingWorkspace ws;
+  ConnectivityOracle* const oracle = opts.oracle;
+  const int64_t hits_before = oracle != nullptr ? oracle->hits() : 0;
+  const int64_t misses_before = oracle != nullptr ? oracle->misses() : 0;
+  std::map<std::pair<VertexId, VertexId>, SweepStats> rows;
+  Reference ref;
+  int64_t index = 0;
+  std::vector<Scenario> batch;
+  for (;;) {
+    batch.clear();
+    if (source.next_batch(256, batch) == 0) break;
+    for (const Scenario& sc : batch) {
+      const int64_t at = index++;
+      SweepStats& st = rows[{sc.source, sc.destination}];
+      ++st.total;
+      const bool touring = sc.destination == kNoVertex;
+      bool held = true;
+      if (opts.promise) {
+        held = opts.promise(g, sc);
+      } else if (!touring && sc.source != sc.destination) {
+        held = oracle != nullptr ? oracle->connected(sc.source, sc.destination, sc.failures)
+                                 : connected(g, sc.source, sc.destination, sc.failures);
+      }
+      if (!held) {
+        ++st.promise_broken;
+        continue;
+      }
+      st.failures_seen += sc.failures.count();
+      bool violated = false;
+      if (touring) {
+        const FastTourResult r = tour_packet_fast(ctx, pattern, sc.failures, sc.source, ws);
+        st.tally_tour(r.success, r.dropped, r.steps_walked);
+        violated = !r.success;
+      } else {
+        const FastRouteResult r = route_packet_fast(ctx, pattern, sc.failures, sc.source,
+                                                    Header{sc.source, sc.destination}, ws);
+        st.tally_route(r.outcome, r.hops);
+        violated = r.outcome != RoutingOutcome::kDelivered;
+        if (!violated && opts.compute_stretch) {
+          const auto dist = distance(g, sc.source, sc.destination, sc.failures);
+          if (dist.has_value() && *dist >= 1) st.tally_stretch(r.hops, *dist);
+        }
+      }
+      if (violated && !ref.first.has_value()) {
+        SweepFinding f;
+        f.index = at;
+        f.scenario = sc;
+        if (touring) {
+          f.tour = tour_packet(ctx, pattern, sc.failures, sc.source, ws);
+        } else {
+          f.routing = route_packet(ctx, pattern, sc.failures, sc.source,
+                                   Header{sc.source, sc.destination}, ws);
+        }
+        ref.first = std::move(f);
+      }
+    }
+  }
+  for (const auto& [pair, stats] : rows) {
+    ref.report.totals.merge(stats);
+    ref.report.per_pair.push_back(PairStats{pair.first, pair.second, stats});
+  }
+  if (oracle != nullptr) {
+    ref.report.totals.oracle_hits = oracle->hits() - hits_before;
+    ref.report.totals.oracle_misses = oracle->misses() - misses_before;
+  }
+  return ref;
+}
+
+void expect_findings_equal(const std::optional<SweepFinding>& got,
+                           const std::optional<SweepFinding>& want, const char* what) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << what;
+  if (!want.has_value()) return;
+  EXPECT_EQ(got->index, want->index) << what;
+  EXPECT_EQ(got->scenario.source, want->scenario.source) << what;
+  EXPECT_EQ(got->scenario.destination, want->scenario.destination) << what;
+  EXPECT_TRUE(got->scenario.failures == want->scenario.failures) << what;
+  EXPECT_EQ(got->routing.outcome, want->routing.outcome) << what;
+  EXPECT_EQ(got->routing.hops, want->routing.hops) << what;
+  EXPECT_EQ(got->routing.walk, want->routing.walk) << what;
+  EXPECT_EQ(got->tour.success, want->tour.success) << what;
+  EXPECT_EQ(got->tour.dropped, want->tour.dropped) << what;
+  EXPECT_EQ(got->tour.steps_walked, want->tour.steps_walked) << what;
+  EXPECT_EQ(got->tour.walk, want->tour.walk) << what;
+  EXPECT_EQ(got->tour.missed, want->tour.missed) << what;
+}
+
+constexpr int kThreadCounts[] = {1, 4};
+
 TEST(SweepEngineGroupRouting, ReportMatchesScalarPathAcrossThreadCounts) {
   const Graph k5 = make_complete(5);
   const auto pattern = make_algorithm1_k5();
   std::vector<std::pair<VertexId, VertexId>> pairs;
   for (VertexId s = 0; s < 4; ++s) pairs.emplace_back(s, 4);
 
-  auto report = [&](int n, bool group) {
+  ExhaustiveFailureSource ref_src(k5, k5.num_edges(), pairs);
+  const SweepReport ref = reference_sweep(k5, *pattern, ref_src, threads(1)).report;
+  for (const int n : kThreadCounts) {
     ExhaustiveFailureSource src(k5, k5.num_edges(), pairs);
-    return SweepEngine(threads(n, group)).run_report(k5, *pattern, src);
-  };
-  const SweepReport scalar1 = report(1, false);
-  expect_reports_equal(report(1, true), scalar1, "group 1t vs scalar 1t");
-  expect_reports_equal(report(4, true), scalar1, "group 4t vs scalar 1t");
-  expect_reports_equal(report(4, false), scalar1, "scalar 4t vs scalar 1t");
+    expect_reports_equal(SweepEngine(threads(n)).run_report(k5, *pattern, src), ref,
+                         n == 1 ? "engine 1t" : "engine 4t");
+    src.reset();
+    expect_stats_equal(SweepEngine(threads(n)).run(k5, *pattern, src), ref.totals,
+                       n == 1 ? "run() 1t" : "run() 4t");
+  }
 }
 
 TEST(SweepEngineGroupRouting, FatTreeStratumMatchesScalarPath) {
@@ -250,13 +364,13 @@ TEST(SweepEngineGroupRouting, FatTreeStratumMatchesScalarPath) {
       if (s != t) pairs.emplace_back(s, t);
     }
   }
-  auto report = [&](int n, bool group) {
+  ExhaustiveFailureSource ref_src(ft, 1, pairs);
+  const SweepReport ref = reference_sweep(ft, *pattern, ref_src, threads(1)).report;
+  for (const int n : kThreadCounts) {
     ExhaustiveFailureSource src(ft, 1, pairs);
-    return SweepEngine(threads(n, group)).run_report(ft, *pattern, src);
-  };
-  const SweepReport scalar1 = report(1, false);
-  expect_reports_equal(report(1, true), scalar1, "fat-tree group 1t");
-  expect_reports_equal(report(4, true), scalar1, "fat-tree group 4t");
+    expect_reports_equal(SweepEngine(threads(n)).run_report(ft, *pattern, src), ref,
+                         n == 1 ? "fat-tree 1t" : "fat-tree 4t");
+  }
 }
 
 TEST(SweepEngineGroupRouting, RepeatedRunsOnOneEngineStayIdentical) {
@@ -264,81 +378,110 @@ TEST(SweepEngineGroupRouting, RepeatedRunsOnOneEngineStayIdentical) {
   // back out of the pool warm, and must not change a single counter.
   const Graph k33 = make_complete_bipartite(3, 3);
   const auto pattern = make_shortest_path_pattern(RoutingModel::kDestinationOnly, k33);
-  const SweepEngine engine(threads(2, true));
-  auto once = [&] {
-    ExhaustiveFailureSource src(k33, k33.num_edges(), all_ordered_pairs(k33));
-    return engine.run_report(k33, *pattern, src);
-  };
-  const SweepReport first = once();
-  expect_reports_equal(once(), first, "second run, warm pool");
-  expect_reports_equal(once(), first, "third run, warm pool");
+  ExhaustiveFailureSource ref_src(k33, k33.num_edges(), all_ordered_pairs(k33));
+  const SweepReport ref = reference_sweep(k33, *pattern, ref_src, threads(1)).report;
 
-  // And the warm pool keeps tracking the right identity when the engine is
-  // pointed at a different (graph, pattern) in between.
   const Graph k5 = make_complete(5);
   const auto k5pat = make_algorithm1_k5();
   std::vector<std::pair<VertexId, VertexId>> k5pairs;
   for (VertexId s = 0; s < 4; ++s) k5pairs.emplace_back(s, 4);
-  ExhaustiveFailureSource k5src(k5, k5.num_edges(), k5pairs);
-  (void)engine.run(k5, *k5pat, k5src);
-  expect_reports_equal(once(), first, "after an interleaved foreign run");
+
+  for (const int n : kThreadCounts) {
+    const SweepEngine engine(threads(n));
+    auto once = [&] {
+      ExhaustiveFailureSource src(k33, k33.num_edges(), all_ordered_pairs(k33));
+      return engine.run_report(k33, *pattern, src);
+    };
+    expect_reports_equal(once(), ref, "first run, cold pool");
+    expect_reports_equal(once(), ref, "second run, warm pool");
+    expect_reports_equal(once(), ref, "third run, warm pool");
+
+    // And the warm pool keeps tracking the right identity when the engine is
+    // pointed at a different (graph, pattern) in between.
+    ExhaustiveFailureSource k5src(k5, k5.num_edges(), k5pairs);
+    (void)engine.run(k5, *k5pat, k5src);
+    expect_reports_equal(once(), ref, "after an interleaved foreign run");
+  }
 }
 
 TEST(SweepEngineGroupRouting, StretchTalliesMatchScalarPath) {
   const Graph k33 = make_complete_bipartite(3, 3);
   const auto pattern = make_shortest_path_pattern(RoutingModel::kDestinationOnly, k33);
-  auto report = [&](bool group) {
+  SweepOptions base;
+  base.compute_stretch = true;
+  ExhaustiveFailureSource ref_src(k33, 2, all_ordered_pairs(k33));
+  const SweepReport ref = reference_sweep(k33, *pattern, ref_src, base).report;
+  EXPECT_GT(ref.totals.stretch_samples, 0);
+  for (const int n : kThreadCounts) {
     ExhaustiveFailureSource src(k33, 2, all_ordered_pairs(k33));
-    SweepOptions o = threads(1, group);
-    o.compute_stretch = true;
-    return SweepEngine(o).run_report(k33, *pattern, src);
-  };
-  expect_reports_equal(report(true), report(false), "stretch group vs scalar");
+    SweepOptions o = base;
+    o.num_threads = n;
+    expect_reports_equal(SweepEngine(o).run_report(k33, *pattern, src), ref,
+                         n == 1 ? "stretch 1t" : "stretch 4t");
+  }
 }
 
 TEST(SweepEngineGroupRouting, OracleAttachedPathMatchesScalarCounters) {
   const Graph k33 = make_complete_bipartite(3, 3);
   const auto pattern = make_shortest_path_pattern(RoutingModel::kDestinationOnly, k33);
-  auto run_with_oracle = [&](bool group) {
+  auto with_oracle = [](ConnectivityOracle& oracle, int n) {
+    SweepOptions o = threads(n);
+    o.oracle = &oracle;
+    return o;
+  };
+  ConnectivityOracle ref_oracle(k33);
+  ExhaustiveFailureSource ref_src(k33, k33.num_edges(), all_ordered_pairs(k33));
+  const SweepStats ref =
+      reference_sweep(k33, *pattern, ref_src, with_oracle(ref_oracle, 1)).report.totals;
+  EXPECT_GT(ref.oracle_hits, 0);
+  for (const int n : kThreadCounts) {
     ConnectivityOracle oracle(k33);
     ExhaustiveFailureSource src(k33, k33.num_edges(), all_ordered_pairs(k33));
-    SweepOptions o = threads(1, group);
-    o.oracle = &oracle;
-    return SweepEngine(o).run(k33, *pattern, src);
-  };
-  const SweepStats group = run_with_oracle(true);
-  const SweepStats scalar = run_with_oracle(false);
-  expect_stats_equal(group, scalar, "oracle group vs scalar");
-  // Both paths consult the oracle once per scenario, so the hit/miss
-  // accounting agrees too (each run got its own fresh oracle).
-  EXPECT_EQ(group.oracle_hits, scalar.oracle_hits);
-  EXPECT_EQ(group.oracle_misses, scalar.oracle_misses);
-  EXPECT_GT(group.oracle_hits, 0);
+    const SweepStats got = SweepEngine(with_oracle(oracle, n)).run(k33, *pattern, src);
+    expect_stats_equal(got, ref, n == 1 ? "oracle 1t" : "oracle 4t");
+    // The engine consults the oracle once per scenario, like the reference.
+    // With one worker the stream order is the same, so hits and misses
+    // agree exactly; concurrent workers may both miss on one failure set.
+    EXPECT_EQ(got.oracle_hits + got.oracle_misses, ref.oracle_hits + ref.oracle_misses);
+    if (n == 1) {
+      EXPECT_EQ(got.oracle_hits, ref.oracle_hits);
+      EXPECT_EQ(got.oracle_misses, ref.oracle_misses);
+    }
+  }
 }
 
-TEST(SweepEngineGroupRouting, CustomPromiseFallsBackAndStaysCorrect) {
-  // A custom promise disables the group path (predicates see scenarios one
-  // at a time); the result must still match a scalar-path engine with the
-  // same predicate.
+TEST(SweepEngineGroupRouting, CustomPromiseRidesTheGroupPath) {
+  // A custom predicate sees each scenario once, in stream order inside its
+  // batch: an r-tolerance-style promise (two link-disjoint paths survive)
+  // must break exactly the scenarios the reference breaks.
   const Graph g = make_complete(5);
   const auto pattern = make_algorithm1_k5();
   std::vector<std::pair<VertexId, VertexId>> pairs;
   for (VertexId s = 0; s < 4; ++s) pairs.emplace_back(s, 4);
-  auto run = [&](bool group) {
-    ExhaustiveFailureSource src(g, 2, pairs);
-    SweepOptions o = threads(2, group);
-    o.promise = [](const Graph& gg, const Scenario& sc) {
-      return connected(gg, sc.source, sc.destination, sc.failures);
-    };
-    return SweepEngine(o).run(g, *pattern, src);
+  SweepOptions base;
+  base.promise = [](const Graph& gg, const Scenario& sc) {
+    return edge_connectivity(gg, sc.source, sc.destination, sc.failures) >= 2;
   };
-  expect_stats_equal(run(true), run(false), "custom promise");
+  ExhaustiveFailureSource ref_src(g, 3, pairs);
+  const SweepReport ref = reference_sweep(g, *pattern, ref_src, base).report;
+  EXPECT_GT(ref.totals.promise_broken, 0);
+  for (const int n : kThreadCounts) {
+    ExhaustiveFailureSource src(g, 3, pairs);
+    SweepOptions o = base;
+    o.num_threads = n;
+    expect_reports_equal(SweepEngine(o).run_report(g, *pattern, src), ref,
+                         n == 1 ? "custom promise 1t" : "custom promise 4t");
+    src.reset();
+    expect_stats_equal(SweepEngine(o).run(g, *pattern, src), ref.totals,
+                       n == 1 ? "custom promise run() 1t" : "custom promise run() 4t");
+  }
 }
 
 TEST(SweepEngineGroupRouting, TouringScenariosMatchScalarPath) {
   // Touring scenarios never enter the packed router (tours are walks, not
-  // (s, t) packets) but flow through the same group loop; the tallies must
-  // agree with the scalar path.
+  // (s, t) packets) but flow through the same batch loop; the tallies must
+  // agree with the reference, with and without a custom promise narrowing
+  // the touring quantifier.
   class AroundPattern final : public ForwardingPattern {
    public:
     [[nodiscard]] RoutingModel model() const override { return RoutingModel::kTouring; }
@@ -357,13 +500,60 @@ TEST(SweepEngineGroupRouting, TouringScenariosMatchScalarPath) {
   AroundPattern pattern;
   std::vector<std::pair<VertexId, VertexId>> starts;
   for (VertexId v = 0; v < g.num_vertices(); ++v) starts.emplace_back(v, kNoVertex);
-  auto report = [&](int n, bool group) {
-    ExhaustiveFailureSource src(g, 2, starts);
-    return SweepEngine(threads(n, group)).run_report(g, pattern, src);
+  SweepOptions narrowed;
+  narrowed.promise = [](const Graph&, const Scenario& sc) { return sc.failures.count() != 1; };
+  for (const SweepOptions& base : {SweepOptions{}, narrowed}) {
+    ExhaustiveFailureSource ref_src(g, 2, starts);
+    const SweepReport ref = reference_sweep(g, pattern, ref_src, base).report;
+    for (const int n : kThreadCounts) {
+      ExhaustiveFailureSource src(g, 2, starts);
+      SweepOptions o = base;
+      o.num_threads = n;
+      expect_reports_equal(SweepEngine(o).run_report(g, pattern, src), ref,
+                           n == 1 ? "touring 1t" : "touring 4t");
+    }
+  }
+}
+
+TEST(SweepEngineGroupRouting, FirstViolationMatchesReferenceLoop) {
+  // find_first_violation consumes batches through the same loop and pins
+  // the smallest violating stream index: it must name the reference loop's
+  // first violation and re-simulate the same witness, at 1 and 4 threads.
+  // Small batches spread the stream over many workers.
+  const auto check = [](const Graph& g, const ForwardingPattern& pattern,
+                        ScenarioSource& source, const SweepOptions& base, const char* what) {
+    source.reset();
+    const Reference ref = reference_sweep(g, pattern, source, base);
+    ASSERT_TRUE(ref.first.has_value()) << what;
+    EXPECT_GT(ref.first->index, 64) << what;  // past the first few batches
+    for (const int n : kThreadCounts) {
+      SweepOptions o = base;
+      o.num_threads = n;
+      o.batch_size = 16;
+      source.reset();
+      expect_findings_equal(SweepEngine(o).find_first_violation(g, pattern, source), ref.first,
+                            what);
+    }
   };
-  const SweepReport scalar1 = report(1, false);
-  expect_reports_equal(report(1, true), scalar1, "touring group 1t");
-  expect_reports_equal(report(4, true), scalar1, "touring group 4t");
+
+  // r-tolerance: the shortest-path pattern on K6 under "two link-disjoint
+  // s-t paths survive", three pairs per failure set, every failure set.
+  const Graph k6 = make_complete(6);
+  const auto sp = make_shortest_path_pattern(RoutingModel::kDestinationOnly, k6);
+  SweepOptions r2;
+  r2.promise = [](const Graph& gg, const Scenario& sc) {
+    return edge_connectivity(gg, sc.source, sc.destination, sc.failures) >= 2;
+  };
+  ExhaustiveFailureSource r2_src(k6, k6.num_edges(), {{0, 5}, {1, 5}, {2, 5}});
+  check(k6, *sp, r2_src, r2, "r-tolerance");
+
+  // Touring: id-cyclic failover from every start of K3,3, every failure set.
+  const Graph k33 = make_complete_bipartite(3, 3);
+  const auto cyclic = make_id_cyclic_pattern(RoutingModel::kTouring);
+  std::vector<std::pair<VertexId, VertexId>> starts;
+  for (VertexId v = 0; v < k33.num_vertices(); ++v) starts.emplace_back(v, kNoVertex);
+  ExhaustiveFailureSource tour_src(k33, k33.num_edges(), starts);
+  check(k33, *cyclic, tour_src, SweepOptions{}, "touring");
 }
 
 }  // namespace

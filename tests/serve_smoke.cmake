@@ -9,11 +9,14 @@
 #      error (submit exits non-zero) and the daemon keeps serving;
 #   3. clean shutdown: a shutdown request stops the daemon (no lingering
 #      process, "shutdown complete" in its log);
-#   4. multi-host fan-out: the same sweep via `--procs 4 --hosts ...` over
+#   4. descriptor exhaustion: under `ulimit -n 16`, a burst of 20 held
+#      connections makes accept() fail with EMFILE; the daemon must back
+#      off, answer a ping once they hang up, and still shut down cleanly;
+#   5. multi-host fan-out: the same sweep via `--procs 4 --hosts ...` over
 #      BOTH transports — plain local fork/exec and the ssh transport routed
 #      through a stub that executes the remote command locally — each
 #      merging bit-identically to the same unsharded baseline;
-#   5. fault recovery over the launcher: POFL_FAULT=crash:2:0 kills shard 2
+#   6. fault recovery over the launcher: POFL_FAULT=crash:2:0 kills shard 2
 #      on its first attempt; the supervisor's retry must recover and the
 #      merge must still byte-check.
 #
@@ -49,37 +52,67 @@ endif()
 
 # ---- 1. daemon lifecycle + cached/uncached byte parity ----------------------
 
-set(SERVE_LOG "${WORK_DIR}/serve.log")
-execute_process(
-  COMMAND sh -c "'${POFL_CLI}' serve '${GRAPH}' --port 0 > '${SERVE_LOG}' 2>&1 & echo $!"
-  OUTPUT_VARIABLE SERVE_PID OUTPUT_STRIP_TRAILING_WHITESPACE)
-if(NOT SERVE_PID MATCHES "^[0-9]+$")
-  message(FATAL_ERROR "could not start the serve daemon (pid: '${SERVE_PID}')")
-endif()
-
-# The daemon prints "listening on 127.0.0.1:<port>" once bound; poll for it.
-set(PORT "")
-foreach(attempt RANGE 50)
-  if(EXISTS "${SERVE_LOG}")
-    file(READ "${SERVE_LOG}" log_text)
-    if(log_text MATCHES "listening on 127\\.0\\.0\\.1:([0-9]+)")
-      set(PORT "${CMAKE_MATCH_1}")
-      break()
-    endif()
+# Starts `pofl_cli serve` in the background after the shell prelude
+# `setup` (e.g. a ulimit), logging to `log`; sets SERVE_PID and TARGET. The
+# daemon prints "listening on 127.0.0.1:<port>" once bound; poll for it.
+function(start_daemon setup log)
+  execute_process(
+    COMMAND sh -c
+            "(${setup} exec '${POFL_CLI}' serve '${GRAPH}' --port 0) > '${log}' 2>&1 & echo $!"
+    OUTPUT_VARIABLE pid OUTPUT_STRIP_TRAILING_WHITESPACE)
+  if(NOT pid MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "could not start the serve daemon (pid: '${pid}')")
   endif()
-  execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.2)
-endforeach()
-if(NOT PORT)
-  execute_process(COMMAND sh -c "kill -9 ${SERVE_PID} 2>/dev/null || true")
-  message(FATAL_ERROR "serve daemon never reported its port; log: ${SERVE_LOG}")
-endif()
-set(TARGET "127.0.0.1:${PORT}")
+  set(port "")
+  foreach(attempt RANGE 50)
+    if(EXISTS "${log}")
+      file(READ "${log}" log_text)
+      if(log_text MATCHES "listening on 127\\.0\\.0\\.1:([0-9]+)")
+        set(port "${CMAKE_MATCH_1}")
+        break()
+      endif()
+    endif()
+    execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.2)
+  endforeach()
+  if(NOT port)
+    execute_process(COMMAND sh -c "kill -9 ${pid} 2>/dev/null || true")
+    message(FATAL_ERROR "serve daemon never reported its port; log: ${log}")
+  endif()
+  set(SERVE_PID "${pid}" PARENT_SCOPE)
+  set(TARGET "127.0.0.1:${port}" PARENT_SCOPE)
+endfunction()
 
-# Tear the daemon down on any failure from here on.
+# Tear the daemon down on any failure while one runs.
 function(fail_with_daemon message)
   execute_process(COMMAND sh -c "kill -9 ${SERVE_PID} 2>/dev/null || true")
   message(FATAL_ERROR "${message}")
 endfunction()
+
+# Sends a shutdown request and waits for a clean exit ("shutdown complete"
+# in `log`, no lingering process).
+function(shutdown_daemon log)
+  run_cli(TRUE "" submit "${TARGET}" "{\"cmd\":\"shutdown\"}")
+  set(stopped FALSE)
+  foreach(attempt RANGE 50)
+    execute_process(COMMAND sh -c "kill -0 ${SERVE_PID} 2>/dev/null"
+                    RESULT_VARIABLE alive_rc)
+    if(NOT alive_rc EQUAL 0)
+      set(stopped TRUE)
+      break()
+    endif()
+    execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.2)
+  endforeach()
+  if(NOT stopped)
+    fail_with_daemon("daemon still running after a shutdown request")
+  endif()
+  file(READ "${log}" log_text)
+  if(NOT log_text MATCHES "shutdown complete")
+    message(FATAL_ERROR "daemon exited without a clean shutdown; log: ${log_text}")
+  endif()
+endfunction()
+
+set(SERVE_LOG "${WORK_DIR}/serve.log")
+start_daemon("" "${SERVE_LOG}")
 
 set(REQUEST "{\"cmd\":\"sweep\",\"graph\":\"synth-hubring-40-214\",\"mode\":\"iid\",\"p\":0.05,\"trials\":20,\"seed\":1}")
 
@@ -121,27 +154,29 @@ endif()
 
 # ---- 3. clean shutdown ------------------------------------------------------
 
-run_cli(TRUE "" submit "${TARGET}" "{\"cmd\":\"shutdown\"}")
-set(stopped FALSE)
-foreach(attempt RANGE 50)
-  execute_process(COMMAND sh -c "kill -0 ${SERVE_PID} 2>/dev/null"
-                  RESULT_VARIABLE alive_rc)
-  if(NOT alive_rc EQUAL 0)
-    set(stopped TRUE)
-    break()
-  endif()
-  execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.2)
-endforeach()
-if(NOT stopped)
-  execute_process(COMMAND sh -c "kill -9 ${SERVE_PID} 2>/dev/null || true")
-  message(FATAL_ERROR "daemon still running after a shutdown request")
-endif()
-file(READ "${SERVE_LOG}" log_text)
-if(NOT log_text MATCHES "shutdown complete")
-  message(FATAL_ERROR "daemon exited without a clean shutdown; log: ${log_text}")
-endif()
+shutdown_daemon("${SERVE_LOG}")
 
-# ---- 4. multi-host fan-out: both transports, 4 shards, bit-exact merge ------
+# ---- 4. descriptor exhaustion: the daemon backs off and keeps serving -------
+
+# Under a 16-descriptor limit, 20 connections held open at once run the
+# daemon out of descriptors: accept() fails with EMFILE until the holders
+# hang up. The daemon must back off and keep accepting, not shut down.
+set(FD_LOG "${WORK_DIR}/serve_fd.log")
+start_daemon("ulimit -n 16 &&" "${FD_LOG}")
+string(REPLACE ":" "/" tcp_path "${TARGET}")
+execute_process(
+  COMMAND bash -c "for i in $(seq 20); do exec {fd}<>/dev/tcp/${tcp_path} || exit 1; done; sleep 1"
+  RESULT_VARIABLE burst_rc ERROR_VARIABLE burst_err)
+if(NOT burst_rc EQUAL 0)
+  fail_with_daemon("daemon refused the 20-connection burst: ${burst_err}")
+endif()
+run_cli(TRUE ping_out submit "${TARGET}" "{\"cmd\":\"ping\"}")
+if(NOT ping_out MATCHES "\"pong\":true")
+  fail_with_daemon("daemon stopped serving after descriptor exhaustion: ${ping_out}")
+endif()
+shutdown_daemon("${FD_LOG}")
+
+# ---- 5. multi-host fan-out: both transports, 4 shards, bit-exact merge ------
 
 # The ssh stub drops the hostname and runs the remote command locally — the
 # full transport path (remote command quoting, env forwarding, stdout
@@ -167,7 +202,7 @@ run_cli(TRUE "" sweep "${GRAPH}" 0.05 20 --procs 4 --hosts "local,ssh:testhost"
         --ssh-cmd "${SSH_STUB}"
         --json "${WORK_DIR}/fanout_mixed.json" --check "${BASELINE}")
 
-# ---- 5. killed worker recovers through the supervisor over the transport ----
+# ---- 6. killed worker recovers through the supervisor over the transport ----
 
 execute_process(COMMAND ${CMAKE_COMMAND} -E env "POFL_FAULT=crash:2:0"
                 ${POFL_CLI} sweep "${GRAPH}" 0.05 20 --procs 4
