@@ -19,7 +19,6 @@
 #include <functional>
 #include <string>
 
-#include "attacks/exhaustive.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "attacks/touring_attack.hpp"
 #include "graph/builders.hpp"
@@ -29,6 +28,7 @@
 #include "resilience/k5m2_dest.hpp"
 #include "resilience/outerplanar_touring.hpp"
 #include "routing/verifier.hpp"
+#include "search/min_defeat.hpp"
 #include "sim/sweep_json.hpp"
 
 namespace {
@@ -163,11 +163,12 @@ int main(int argc, char** argv) {
       // One oracle across the whole corpus: every pattern's defeat search
       // enumerates the same failure sets.
       ConnectivityOracle oracle(graph);
+      SearchOptions search;
+      search.oracle = &oracle;
       const auto cell = defeat_cell(
           graph, RoutingModel::kDestinationOnly,
           [&](const ForwardingPattern& p) {
-            return find_minimum_defeat_any_pair(graph, p, graph.num_edges(), &oracle)
-                .defeated();
+            return min_defeat_search_any_pair(graph, p, graph.num_edges(), search).defeated();
           },
           log, "destination", name);
       std::printf("  %-35s %s\n", name, cell.c_str());
@@ -195,10 +196,12 @@ int main(int argc, char** argv) {
     if (owns_cell()) {
       const Graph k7 = make_complete(7);
       ConnectivityOracle oracle(k7);
+      SearchOptions search;
+      search.oracle = &oracle;
       const auto cell = defeat_cell(
           k7, RoutingModel::kSourceDestination,
           [&](const ForwardingPattern& p) {
-            return find_minimum_defeat(k7, p, 0, 6, 15, &oracle).defeated();
+            return min_defeat_search(k7, p, 0, 6, 15, search).defeated();
           },
           log, "source-destination", "K7");
       std::printf("  %-35s %s\n", "K7 (<=15 failures, Cor. 3)", cell.c_str());
@@ -206,10 +209,12 @@ int main(int argc, char** argv) {
     if (owns_cell()) {
       const Graph k44 = make_complete_bipartite(4, 4);
       ConnectivityOracle oracle(k44);
+      SearchOptions search;
+      search.oracle = &oracle;
       const auto cell = defeat_cell(
           k44, RoutingModel::kSourceDestination,
           [&](const ForwardingPattern& p) {
-            return find_minimum_defeat(k44, p, 0, 7, 11, &oracle).defeated();
+            return min_defeat_search(k44, p, 0, 7, 11, search).defeated();
           },
           log, "source-destination", "K4,4");
       std::printf("  %-35s %s\n", "K4,4 (<=11 failures, Cor. 4)", cell.c_str());

@@ -61,11 +61,11 @@
 // POFL_FAULT env hook (src/orchestrate/fault_inject.hpp) injects
 // deterministic worker faults so every one of these paths is testable.
 
-#include <fcntl.h>
 #include <netdb.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -79,7 +79,6 @@
 #include <string>
 #include <vector>
 
-#include "attacks/exhaustive.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "classify/classifier.hpp"
 #include "classify/zoo.hpp"
@@ -92,11 +91,12 @@
 #include "orchestrate/supervisor.hpp"
 #include "resilience/dest_via_touring.hpp"
 #include "routing/verifier.hpp"
+#include "search/min_defeat.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
-#include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 #include "sim/sweep_json.hpp"
+#include "sim/sweep_spec.hpp"
 #include "synth/fat_tree.hpp"
 
 namespace {
@@ -138,21 +138,12 @@ std::optional<NamedGraph> load(const std::string& path) {
   return g;
 }
 
-/// Strict numeric parsing: the whole token must be the number. atoi-style
-/// silent truncation ("--threads 2x" -> 2, "abc" -> 0) is how a typo turns
-/// into a wrong sweep — and so is ERANGE, which strtol signals only through
-/// errno while clamping to LONG_MAX ("--procs 99999999999999999999").
-bool parse_long(const char* s, long& out) {
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtol(s, &end, 10);
-  return end != s && *end == '\0' && errno != ERANGE;
-}
-
+/// Finite values only: strtod also reads "nan" and "inf", which slip
+/// through any range check written as `x < lo || x > hi`.
 bool parse_double(const char* s, double& out) {
   char* end = nullptr;
   out = std::strtod(s, &end);
-  return end != s && *end == '\0';
+  return end != s && *end == '\0' && std::isfinite(out);
 }
 
 int cmd_classify(const std::string& path) {
@@ -196,7 +187,7 @@ int cmd_attack(const std::string& path, VertexId s, VertexId t) {
   std::printf("attacking the shortest-path failover pattern on %s, %d -> %d...\n",
               net->name.c_str(), s, t);
   if (g.num_edges() <= 22) {
-    const auto defeat = find_minimum_defeat(g, *pattern, s, t, g.num_edges());
+    const auto defeat = min_defeat_search(g, *pattern, s, t, g.num_edges());
     if (!defeat.defeated()) {
       std::printf("no defeating failure set exists for this pair: the pattern is "
                   "perfectly resilient here.\n");
@@ -320,42 +311,25 @@ int cmd_min_defeat(const MinDefeatConfig& cfg) {
 
 struct SweepConfig {
   std::string graph_path;
-  const char* p_arg = nullptr;       // original spellings, passed through to
-  const char* trials_arg = nullptr;  // shard workers verbatim
-  bool exhaustive = false;  // p_arg == "exhaustive": trials is max |F|
-  double p = 0.0;
-  int trials = 0;
+  SweepSpec spec;  // the positional source plus --shard; CLI defaults elsewhere
   std::string json_path;
   std::string check_path;
   bool per_pair = false;
   int num_threads = 0;  // 0 = unset
   bool threads_set = false;
-  int shard_index = 0;
-  int shard_count = 1;
-  bool shard_set = false;  // explicit --shard: a shard-worker run, even 0/1
-  int procs = 0;           // 0 = no multi-process driver
-  // Supervision knobs (meaningful with --procs only; rejected otherwise).
-  int retries = 2;             // extra attempts per failed shard
-  int backoff_ms = 200;        // first-retry delay, doubling up to the cap
-  double shard_timeout = 0.0;  // per-attempt wall clock in seconds; 0 = off
+  int procs = 0;  // 0 = no multi-process driver
+  // Supervision knobs (meaningful with --procs only; rejected otherwise):
+  // --retries, --backoff-ms and --shard-timeout.
+  ShardSupervisorOptions supervision{.retries = 2, .verbose = true};
   bool allow_partial = false;  // degraded merge instead of failure
   std::string checkpoint_dir;  // persistent shard-output dir for resume
-  // Multi-host fan-out (with --procs): round-robin the shard workers over
-  // these transports (src/serve/transport) instead of plain local fork/exec.
-  std::vector<HostSpec> hosts;
-  std::string ssh_cmd = "ssh";    // --ssh-cmd: the transport binary
-  std::string remote_exe;         // --remote-exe: pofl_cli path on ssh hosts
+  // Shard-worker transports (with --procs; src/serve/transport): --hosts,
+  // --ssh-cmd and --remote-exe. No hosts: every worker is a local fork/exec.
+  TransportOptions transport;
 
   /// Shard workers under a transport stream their JSON to stdout.
   [[nodiscard]] bool stream_stdout() const { return json_path == "-"; }
 };
-
-/// Serializes the report the way this run records it: shard runs carry
-/// their provenance marker, full runs (and merged results) are plain.
-std::string serialize_report(const SweepReport& report, const SweepConfig& cfg) {
-  if (cfg.shard_set) return to_json_shard(report, cfg.shard_index, cfg.shard_count);
-  return to_json(report);
-}
 
 void print_report(const SweepReport& report, bool per_pair) {
   const SweepStats& stats = report.totals;
@@ -421,12 +395,12 @@ std::string read_file(const std::string& path) {
 
 /// Launches one shard worker per shard under a ShardSupervisor and merges
 /// their JSON: the single-host face of the distributed shard/merge
-/// workflow, now with timeouts, retry/backoff, checkpoint/resume and an
-/// optional degraded partial merge. Children write their partial reports
-/// into `--checkpoint-dir` (kept, resumable) or a temp directory (removed)
-/// with stdout silenced; the supervisor monitors, retries and reaps; the
-/// parent parses, merges and reports as if it had run unsharded.
-int run_procs(const SweepConfig& cfg) {
+/// workflow, with timeouts, retry/backoff, checkpoint/resume and an
+/// optional degraded partial merge. Children stream their partial reports
+/// into `--checkpoint-dir` (kept, resumable) or a temp directory (removed);
+/// the supervisor monitors, retries and reaps; the parent parses, merges
+/// and reports as if it had run unsharded.
+int run_procs(const SweepConfig& cfg, const Graph& g) {
   char exe_path[4096];
   const ssize_t exe_len = readlink("/proc/self/exe", exe_path, sizeof(exe_path) - 1);
   if (exe_len <= 0) {
@@ -451,8 +425,8 @@ int run_procs(const SweepConfig& cfg) {
     }
     dir = cfg.checkpoint_dir;
     const std::string meta_path = dir + "/checkpoint.meta";
-    const std::string meta = std::string("graph=") + cfg.graph_path + " p=" + cfg.p_arg +
-                             " trials=" + cfg.trials_arg +
+    const std::string meta = "graph=" + cfg.graph_path + " " +
+                             cfg.spec.key(graph_content_hash(g)) +
                              " procs=" + std::to_string(cfg.procs) + "\n";
     if (std::filesystem::exists(meta_path)) {
       if (read_file(meta_path) != meta) {
@@ -482,62 +456,30 @@ int run_procs(const SweepConfig& cfg) {
                           std::to_string(cfg.procs) + ".json");
   }
 
-  // Two spawn shapes behind one supervisor contract. With --hosts, workers
-  // run `--json -` and stream their shard JSON back over stdout, which the
-  // transport redirects into the local shard file — identical plumbing for
-  // local and ssh workers, so validate/retry/checkpoint/merge below never
-  // know which transport ran. Without --hosts, the original local fork/exec
-  // writes the shard file directly.
+  // One spawn for every transport: workers run `--json -` and stream their
+  // shard JSON over stdout, which the transport redirects into the local
+  // shard file (no --hosts means a local fork/exec), so
+  // validate/retry/checkpoint/merge below never know where a worker ran.
+  const int threads = cfg.threads_set ? cfg.num_threads : 1;
   const auto spawn = [&](int shard, int attempt) -> pid_t {
-    const std::string shard_spec = std::to_string(shard) + "/" + std::to_string(cfg.procs);
-    const std::string threads = std::to_string(cfg.threads_set ? cfg.num_threads : 1);
-    const std::string attempt_str = std::to_string(attempt);
-    if (!cfg.hosts.empty()) {
-      TransportOptions transport;
-      transport.hosts = cfg.hosts;
-      transport.ssh_command = cfg.ssh_cmd;
-      transport.remote_exe = cfg.remote_exe;
-      const std::vector<std::string> worker_args = {
-          "sweep",  cfg.graph_path, cfg.p_arg,   cfg.trials_arg, "--shard", shard_spec,
-          "--json", "-",            "--threads", threads};
-      return spawn_shard_worker(transport, shard, attempt, exe_path, worker_args,
-                                shard_files[static_cast<size_t>(shard)]);
-    }
-    const char* argv[] = {exe_path, "sweep",  cfg.graph_path.c_str(),
-                          cfg.p_arg, cfg.trials_arg, "--shard", shard_spec.c_str(),
-                          "--json", shard_files[static_cast<size_t>(shard)].c_str(),
-                          "--threads", threads.c_str(), nullptr};
-    const pid_t pid = fork();
-    if (pid == 0) {
-      // Child: tell the fault hook which attempt this is (harmless when
-      // POFL_FAULT is unset) and silence the per-shard human summary;
-      // errors stay on stderr.
-      setenv("POFL_FAULT_ATTEMPT", attempt_str.c_str(), 1);
-      const int devnull = open("/dev/null", O_WRONLY);
-      if (devnull >= 0) {
-        dup2(devnull, STDOUT_FILENO);
-        close(devnull);
-      }
-      execv(exe_path, const_cast<char* const*>(argv));
-      std::fprintf(stderr, "error: exec failed for shard %d\n", shard);
-      _exit(127);
-    }
-    return pid;  // -1 on fork failure: the supervisor retries with backoff
+    return spawn_shard_worker(cfg.transport, shard, attempt, exe_path,
+                              cfg.spec.worker_args(cfg.graph_path, shard, cfg.procs, "-", threads),
+                              shard_files[static_cast<size_t>(shard)]);
   };
 
   // Shard output is only believed when it parses and carries the right
   // provenance — run both after every clean exit and as the checkpoint
-  // probe before the first spawn.
+  // probe before the first spawn. The accepted report is kept for the merge.
+  std::vector<std::optional<SweepReport>> reports(static_cast<size_t>(cfg.procs));
   const auto validate = [&](int shard, std::string& error) -> bool {
     const std::string& path = shard_files[static_cast<size_t>(shard)];
     if (!std::filesystem::exists(path)) {
       error = "no output file";
       return false;
     }
-    const std::string text = read_file(path);
     ShardInfo info;
     std::string parse_error;
-    const auto report = report_from_json(text, &info, &parse_error);
+    auto report = report_from_json(read_file(path), &info, &parse_error);
     if (!report.has_value()) {
       error = path + ": " + parse_error;
       return false;
@@ -547,15 +489,11 @@ int run_procs(const SweepConfig& cfg) {
               std::to_string(shard) + "/" + std::to_string(cfg.procs) + ")";
       return false;
     }
+    reports[static_cast<size_t>(shard)] = std::move(report);
     return true;
   };
 
-  ShardSupervisorOptions sup_opts;
-  sup_opts.retries = cfg.retries;
-  sup_opts.backoff_ms = cfg.backoff_ms;
-  sup_opts.shard_timeout_s = cfg.shard_timeout;
-  sup_opts.verbose = true;
-  ShardSupervisor supervisor(sup_opts);
+  ShardSupervisor supervisor(cfg.supervision);
   const SupervisorResult result = supervisor.run(cfg.procs, spawn, validate);
 
   const auto cleanup = [&] {
@@ -569,20 +507,9 @@ int run_procs(const SweepConfig& cfg) {
   // bit for bit, but deterministic order keeps runs comparable).
   SweepReport merged;
   for (int i = 0; i < cfg.procs; ++i) {
-    if (!result.shards[static_cast<size_t>(i)].completed) continue;
-    ShardInfo info;
-    std::string parse_error;
-    const auto report =
-        report_from_json(read_file(shard_files[static_cast<size_t>(i)]), &info, &parse_error);
-    if (!report.has_value()) {
-      // Validated moments ago; losing it now means the filesystem is
-      // actively fighting us — not a retryable worker fault.
-      std::fprintf(stderr, "error: shard report %s vanished or corrupted after validation: %s\n",
-                   shard_files[static_cast<size_t>(i)].c_str(), parse_error.c_str());
-      cleanup();
-      return 1;
+    if (result.shards[static_cast<size_t>(i)].completed) {
+      merged.merge(*reports[static_cast<size_t>(i)]);
     }
-    merged.merge(*report);
   }
 
   if (result.resumed_from_checkpoint() > 0) {
@@ -637,13 +564,8 @@ int cmd_sweep(const SweepConfig& cfg) {
   const auto net = load(cfg.graph_path);
   if (!net.has_value()) return 1;
   const Graph& g = net->graph;
-  if (!cfg.exhaustive && (cfg.p < 0.0 || cfg.p > 1.0 || cfg.trials <= 0)) {
-    std::fprintf(stderr, "error: need 0 <= p <= 1 and trials > 0\n");
-    return 1;
-  }
-
-  const auto pattern = make_shortest_path_pattern(RoutingModel::kSourceDestination, g);
-  const auto pairs = all_ordered_pairs(g);
+  const SweepSpec& spec = cfg.spec;
+  const auto pattern = make_shortest_path_pattern(spec.model, g);
 
   // `--json -` workers own stdout for their report stream: every human line
   // is suppressed (errors keep stderr), and a broken pipe on the far end
@@ -655,43 +577,35 @@ int cmd_sweep(const SweepConfig& cfg) {
     std::printf("pattern:          %s\n", pattern->name().c_str());
   }
 
-  // Both modes produce a ScenarioSource; everything downstream (sharding,
-  // merging, baselines) is mode-agnostic. The exhaustive constructor
-  // enforces the EdgeMask capacity limit — surface its message as a normal
-  // CLI error instead of an uncaught exception.
-  std::unique_ptr<ScenarioSource> source;
-  try {
-    if (cfg.exhaustive) {
-      source = std::make_unique<ExhaustiveFailureSource>(g, cfg.trials, pairs);
-    } else {
-      source = std::make_unique<RandomFailureSource>(
-          RandomFailureSource::iid(g, cfg.p, cfg.trials, /*seed=*/1, pairs));
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+  // The source rejects graphs past the EdgeMask capacity in exhaustive
+  // mode: a normal CLI error, checked before any worker is launched.
+  std::string error;
+  int64_t full_total = 0;
+  const auto source = spec.make_source(g, error, &full_total);
+  if (source == nullptr) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-
-  if (cfg.procs > 0) {
-    if (cfg.exhaustive) {
+  if (!stream && !spec.shard_set) {
+    const size_t num_pairs = all_ordered_pairs(g).size();
+    if (spec.exhaustive) {
       std::printf("scenarios:        %lld (%zu pairs x |F|<=%d exhaustive)\n",
-                  static_cast<long long>(source->total_hint()), pairs.size(), cfg.trials);
+                  static_cast<long long>(full_total), num_pairs, spec.k);
     } else {
       std::printf("scenarios:        %lld (%zu pairs x %d trials, p=%.3f)\n",
-                  static_cast<long long>(pairs.size()) * cfg.trials, pairs.size(), cfg.trials,
-                  cfg.p);
+                  static_cast<long long>(full_total), num_pairs, spec.trials, spec.p);
     }
-    return run_procs(cfg);
   }
+  if (cfg.procs > 0) return run_procs(cfg, g);
 
   // The POFL_FAULT test hook fires in shard workers only: a malformed spec
   // is a hard error (a typo'd injection must not silently no-op), and the
   // armed modes crash/hang/exit here — "mid-run", after argument and graph
   // validation, before any output exists.
   FaultInjector fault;
-  if (cfg.shard_set) {
+  if (spec.shard_set) {
     bool fault_ok = true;
-    fault = FaultInjector::from_env(cfg.shard_index, fault_ok);
+    fault = FaultInjector::from_env(spec.shard_index, fault_ok);
     if (!fault_ok) {
       std::fprintf(stderr, "error: malformed POFL_FAULT spec '%s'\n", std::getenv("POFL_FAULT"));
       return 2;
@@ -699,21 +613,14 @@ int cmd_sweep(const SweepConfig& cfg) {
     fault.before_sweep();
   }
 
-  source->shard(cfg.shard_index, cfg.shard_count);
-  int64_t full_total = static_cast<int64_t>(pairs.size()) * cfg.trials;
-  if (cfg.exhaustive) {
-    ExhaustiveFailureSource full(g, cfg.trials, pairs);
-    full_total = full.total_hint();
-  }
-
   ConnectivityOracle oracle(g);
   SweepOptions opts;
-  opts.compute_stretch = true;
+  opts.compute_stretch = spec.stretch;
   opts.num_threads = cfg.num_threads;
   // An explicit --shard run (even 0/1) is a shard worker: its report must
   // merge bit-exactly with its siblings', so it carries the provenance
   // marker and leaves the partition-dependent oracle accounting out.
-  if (!cfg.shard_set) {
+  if (!spec.shard_set) {
     // The shared connectivity cache only helps the full stream (duplicate
     // draws land in one process), and its hit/miss accounting depends on
     // the partition — a sharded run must serialize independently of it.
@@ -735,49 +642,27 @@ int cmd_sweep(const SweepConfig& cfg) {
     report.totals = engine.run(g, *pattern, *source);
   }
 
+  // Corrupt-mode injection: a clean exit with a torn report — the failure
+  // only shard-output validation can catch.
+  std::string body = spec.report_json(report);
+  fault.tear(body);
   if (stream) {
     // Stream mode: the report (exactly the bytes --json would record, plus
-    // the trailing newline) goes to stdout, nothing else does. Corrupt-mode
-    // fault injection still needs a file to tear, so the bytes take a
-    // round-trip through a temp file the injector can truncate.
-    std::string body = serialize_report(report, cfg) + "\n";
-    if (cfg.shard_set) {
-      std::string tmpl =
-          (std::filesystem::temp_directory_path() / "pofl_stream_XXXXXX").string();
-      const int tfd = mkstemp(tmpl.data());
-      if (tfd >= 0) {
-        close(tfd);
-        if (write_json_file(tmpl, body.substr(0, body.size() - 1))) {
-          fault.after_write(tmpl);
-          body = read_file(tmpl);
-        }
-        std::error_code ec;
-        std::filesystem::remove(tmpl, ec);
-      }
-    }
+    // the trailing newline) goes to stdout, nothing else does.
+    body += "\n";
     if (!write_all(STDOUT_FILENO, body.data(), body.size())) {
       std::fprintf(stderr, "error: cannot write report to stdout\n");
       return 1;
     }
     return 0;
   }
-  if (cfg.shard_set) {
-    std::printf("shard:            %d/%d (%lld of %lld scenarios)\n", cfg.shard_index,
-                cfg.shard_count, static_cast<long long>(report.totals.total),
+  if (spec.shard_set) {
+    std::printf("shard:            %d/%d (%lld of %lld scenarios)\n", spec.shard_index,
+                spec.shard_count, static_cast<long long>(report.totals.total),
                 static_cast<long long>(full_total));
-  } else if (cfg.exhaustive) {
-    std::printf("scenarios:        %lld (%zu pairs x |F|<=%d exhaustive)\n",
-                static_cast<long long>(report.totals.total), pairs.size(), cfg.trials);
-  } else {
-    std::printf("scenarios:        %lld (%zu pairs x %d trials, p=%.3f)\n",
-                static_cast<long long>(report.totals.total), pairs.size(), cfg.trials, cfg.p);
   }
   print_report(report, cfg.per_pair);
-  const int rc = emit_and_check(serialize_report(report, cfg), cfg.json_path, cfg.check_path);
-  // Corrupt-mode injection: a clean exit with a torn output file — the
-  // failure only shard-output validation can catch.
-  if (cfg.shard_set) fault.after_write(cfg.json_path);
-  return rc;
+  return emit_and_check(body, cfg.json_path, cfg.check_path);
 }
 
 int cmd_export_zoo(const std::string& dir) {
@@ -1128,31 +1013,14 @@ int main(int argc, char** argv) {
   if (cmd == "sweep" && argc >= 5) {
     SweepConfig cfg;
     cfg.graph_path = argv[2];
-    cfg.p_arg = argv[3];
-    cfg.trials_arg = argv[4];
-    cfg.exhaustive = std::strcmp(argv[3], "exhaustive") == 0;
-    long trials = 0;
-    if (cfg.exhaustive) {
-      // trials is the failure budget: every |F| <= k is enumerated, so the
-      // cap is the EdgeMask word limit, not the Monte Carlo trial cap.
-      if (!parse_long(argv[4], trials) || trials < 0 || trials > 512) {
-        std::fprintf(stderr, "error: exhaustive needs a max |F| in [0, 512], got %s\n",
-                     argv[4]);
-        return 2;
-      }
-    } else {
-      if (!parse_double(argv[3], cfg.p) || !parse_long(argv[4], trials)) {
-        std::fprintf(stderr, "error: p and trials must be numeric\n");
-        return 2;
-      }
-      if (trials < 1 || trials > 1'000'000'000) {
-        // Range-check the long before the int cast: 2^32+1 must be an error,
-        // not a silent 1-trial sweep.
-        std::fprintf(stderr, "error: trials must be in [1, 1e9], got %s\n", argv[4]);
-        return 2;
-      }
+    std::string error;
+    int exit_code = 0;
+    auto spec = SweepSpec::from_cli_args(argv[3], argv[4], error, exit_code);
+    if (!spec.has_value()) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      return exit_code;
     }
-    cfg.trials = static_cast<int>(trials);
+    cfg.spec = std::move(*spec);
     const char* supervision_flag = nullptr;  // last --procs-only flag seen
     for (int i = 5; i < argc; ++i) {
       if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -1173,12 +1041,12 @@ int main(int argc, char** argv) {
         cfg.num_threads = static_cast<int>(threads);
         cfg.threads_set = true;
       } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-        if (!parse_shard_spec(argv[++i], cfg.shard_index, cfg.shard_count)) {
+        if (!parse_shard_spec(argv[++i], cfg.spec.shard_index, cfg.spec.shard_count)) {
           std::fprintf(stderr, "error: --shard needs i/N with 0 <= i < N, got '%s'\n",
                        argv[i]);
           return 2;
         }
-        cfg.shard_set = true;
+        cfg.spec.shard_set = true;
       } else if (std::strcmp(argv[i], "--procs") == 0 && i + 1 < argc) {
         long procs = 0;
         if (!parse_long(argv[++i], procs) || procs < 1 || procs > 1024) {
@@ -1193,7 +1061,7 @@ int main(int argc, char** argv) {
                        argv[i]);
           return 2;
         }
-        cfg.retries = static_cast<int>(retries);
+        cfg.supervision.retries = static_cast<int>(retries);
         supervision_flag = "--retries";
       } else if (std::strcmp(argv[i], "--backoff-ms") == 0 && i + 1 < argc) {
         long backoff = 0;
@@ -1202,11 +1070,11 @@ int main(int argc, char** argv) {
                        argv[i]);
           return 2;
         }
-        cfg.backoff_ms = static_cast<int>(backoff);
+        cfg.supervision.backoff_ms = static_cast<int>(backoff);
         supervision_flag = "--backoff-ms";
       } else if (std::strcmp(argv[i], "--shard-timeout") == 0 && i + 1 < argc) {
-        if (!parse_double(argv[++i], cfg.shard_timeout) || cfg.shard_timeout <= 0.0 ||
-            cfg.shard_timeout > 86400.0) {
+        double& timeout = cfg.supervision.shard_timeout_s;
+        if (!parse_double(argv[++i], timeout) || timeout <= 0.0 || timeout > 86400.0) {
           std::fprintf(stderr,
                        "error: --shard-timeout needs seconds in (0, 86400], got '%s'\n",
                        argv[i]);
@@ -1220,7 +1088,7 @@ int main(int argc, char** argv) {
         cfg.checkpoint_dir = argv[++i];
         supervision_flag = "--checkpoint-dir";
       } else if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-        if (!parse_host_list(argv[++i], cfg.hosts)) {
+        if (!parse_host_list(argv[++i], cfg.transport.hosts)) {
           std::fprintf(stderr,
                        "error: --hosts needs a comma-separated list of 'local' and "
                        "'ssh:<host>' entries, got '%s'\n",
@@ -1229,16 +1097,16 @@ int main(int argc, char** argv) {
         }
         supervision_flag = "--hosts";
       } else if (std::strcmp(argv[i], "--ssh-cmd") == 0 && i + 1 < argc) {
-        cfg.ssh_cmd = argv[++i];
+        cfg.transport.ssh_command = argv[++i];
         supervision_flag = "--ssh-cmd";
       } else if (std::strcmp(argv[i], "--remote-exe") == 0 && i + 1 < argc) {
-        cfg.remote_exe = argv[++i];
+        cfg.transport.remote_exe = argv[++i];
         supervision_flag = "--remote-exe";
       } else {
         return usage();
       }
     }
-    if (cfg.procs > 0 && cfg.shard_set) {
+    if (cfg.procs > 0 && cfg.spec.shard_set) {
       std::fprintf(stderr, "error: --procs and --shard are mutually exclusive\n");
       return 2;
     }

@@ -17,9 +17,9 @@
 
 #include <cstdint>
 
-#include "attacks/exhaustive.hpp"
 #include "graph/graph.hpp"
 #include "routing/forwarding.hpp"
+#include "search/min_defeat.hpp"
 
 namespace pofl {
 

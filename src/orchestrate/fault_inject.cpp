@@ -6,8 +6,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <vector>
 
 namespace pofl {
@@ -117,19 +115,12 @@ void FaultInjector::before_sweep() const {
   }
 }
 
-void FaultInjector::after_write(const std::string& json_path) const {
-  if (!armed_ || spec_.mode != FaultMode::kCorrupt || json_path.empty()) return;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(json_path, ec);
-  if (!ec && size > 1) {
-    // Truncate mid-byte: the classic torn write of a worker killed during
-    // its final flush. The resulting prefix is syntactically invalid JSON,
-    // so validation must catch it and report the failure offset.
-    std::filesystem::resize_file(json_path, size / 2, ec);
-  } else {
-    std::ofstream out(json_path, std::ios::trunc);
-    out << "{";
-  }
+void FaultInjector::tear(std::string& report) const {
+  if (!armed_ || spec_.mode != FaultMode::kCorrupt) return;
+  // Cut mid-document: the classic torn write of a worker killed during its
+  // final flush. The prefix is syntactically invalid JSON, so validation
+  // must catch it and report the failure offset.
+  report = report.size() > 1 ? report.substr(0, report.size() / 2) : "{";
 }
 
 }  // namespace pofl

@@ -12,9 +12,9 @@
 //                     the supervisor through its timeout + SIGKILL
 //                     escalation path
 //            exit     _exit(<code>) before the sweep (default code 3)
-//            corrupt  run the sweep normally, then truncate the written
-//                     shard JSON mid-byte — a clean exit with invalid
-//                     output, caught only by validation
+//            corrupt  run the sweep normally, then cut the shard report
+//                     to a torn prefix — a clean exit with invalid output,
+//                     caught only by validation
 //   shard    decimal shard index, or '*' for every shard
 //   attempt  decimal attempt number, or '*' for every attempt; the current
 //            attempt is read from POFL_FAULT_ATTEMPT, which the supervisor
@@ -62,9 +62,9 @@ class FaultInjector {
   /// Injection point before the sweep runs: crash / hang / exit fire here.
   void before_sweep() const;
 
-  /// Injection point after the shard JSON is written: corrupt fires here,
-  /// truncating the file so it no longer parses.
-  void after_write(const std::string& json_path) const;
+  /// Injection point on the finished shard report, before it is written:
+  /// corrupt fires here, cutting the bytes so they no longer parse.
+  void tear(std::string& report) const;
 
  private:
   bool armed_ = false;  // spec present and matching this shard + attempt

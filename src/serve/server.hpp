@@ -27,6 +27,8 @@
 // "model":"sd"|"dest" (default "sd"), "stretch":bool (default true),
 // "pairs":[[s,t],...] (default all ordered pairs) and "shard":[i,N] (the
 // report then carries shard provenance, mergeable with `pofl_cli merge`).
+// SweepSpec (sim/sweep_spec) decodes, keys, builds and serializes it, the
+// same code the CLI's sweep runs through; a witness ignores stretch/shard.
 //
 // Determinism is what makes the cache sound: every query is a pure function
 // of (graph content, pattern spec, source spec, shard spec) — the exact

@@ -4,10 +4,10 @@
 #include <limits>
 #include <stdexcept>
 
-#include "attacks/exhaustive.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "graph/bitmask.hpp"
 #include "graph/connectivity_oracle.hpp"
+#include "search/min_defeat.hpp"
 
 namespace pofl {
 
@@ -237,6 +237,11 @@ int64_t ExhaustiveFailureSource::global_index(int64_t local) const {
 RandomFailureSource RandomFailureSource::iid(const Graph& g, double p, int trials_per_pair,
                                              uint64_t seed,
                                              std::vector<std::pair<VertexId, VertexId>> pairs) {
+  // coin_threshold casts p * 2^64 to an integer: NaN there is undefined.
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("RandomFailureSource::iid: need 0 <= p <= 1, got " +
+                                std::to_string(p));
+  }
   return RandomFailureSource(g, /*exact=*/false, p, 0, trials_per_pair, seed, std::move(pairs));
 }
 
@@ -423,8 +428,10 @@ void AdversarialCorpusSource::mine() {
   // Every corpus pattern re-enumerates the same failure sets; one oracle
   // shared across the whole mining pass pays each component BFS once.
   ConnectivityOracle oracle(*g_);
+  SearchOptions search;
+  search.oracle = &oracle;
   for (const auto& pattern : make_pattern_corpus(model_, *g_, random_variants_, seed_)) {
-    const auto defeat = find_minimum_defeat_any_pair(*g_, *pattern, max_budget_, &oracle);
+    const auto defeat = min_defeat_search_any_pair(*g_, *pattern, max_budget_, search);
     if (!defeat.defeated()) continue;
     scenarios_.push_back(Scenario{defeat.failures, defeat.source, defeat.destination});
     defeated_.push_back(pattern->name());

@@ -23,10 +23,10 @@
 //   * ExhaustiveFailureSource — every failure set with |F| <= k, crossed with
 //     a pair list (the machine-checked positive theorems);
 //   * RandomFailureSource     — Monte Carlo draws, either i.i.d. per-link
-//     probability p (the §IX random-failure regime, matching
-//     routing/random_failures) or uniform exactly-k sets (the stretch
-//     experiments), both on the graph/fast_rand draw (xoshiro256** state,
-//     Floyd's algorithm for exact-count sampling, no per-draw heap);
+//     probability p in [0, 1] (the §IX random-failure regime) or uniform
+//     exactly-k sets (the stretch experiments), both on the graph/fast_rand
+//     draw (xoshiro256** state, Floyd's algorithm for exact-count sampling,
+//     no per-draw heap);
 //   * AdversarialCorpusSource — the minimum defeats mined from the
 //     attacks/pattern_corpus families: a library of known-hostile failure
 //     sets to replay against any pattern.
@@ -264,6 +264,7 @@ class ExhaustiveFailureSource final : public ScenarioSource {
 /// its own batch group (replay tag: the draw ordinal).
 class RandomFailureSource final : public ScenarioSource {
  public:
+  /// Throws std::invalid_argument unless 0 <= p <= 1 (NaN included).
   [[nodiscard]] static RandomFailureSource iid(const Graph& g, double p, int trials_per_pair,
                                                uint64_t seed,
                                                std::vector<std::pair<VertexId, VertexId>> pairs);
@@ -347,7 +348,7 @@ class SampledFailureSource final : public ScenarioSource {
 };
 
 /// The minimum defeats of every attacks/pattern_corpus family on g: each
-/// corpus pattern is attacked once (find_minimum_defeat_any_pair, bounded by
+/// corpus pattern is attacked once (min_defeat_search_any_pair, bounded by
 /// max_budget) and the resulting (F, s, t) triples become the scenario
 /// stream. Mining is lazy (first next_batch) and cached across resets, so
 /// replaying the adversarial library against many patterns pays the attack

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 namespace pofl {
@@ -24,6 +25,11 @@ bool checked_strtol(const char* s, char** end, long& out) {
 }
 
 }  // namespace
+
+bool parse_long(const char* s, long& out) {
+  char* end = nullptr;
+  return checked_strtol(s, &end, out) && *end == '\0';
+}
 
 bool parse_shard_spec(const char* spec, int& index, int& count) {
   char* end = nullptr;
@@ -60,11 +66,9 @@ BenchArgs parse_bench_args(int argc, char** argv) {
       }
       // Range-check the long before the int cast: 2^32+1 used to truncate
       // to a silently wrong small --procs value.
-      char* end = nullptr;
       long procs = 0;
       args.procs_set = true;
-      if (!checked_strtol(argv[++i], &end, procs) || *end != '\0' || procs < 1 ||
-          procs > 1024) {
+      if (!parse_long(argv[++i], procs) || procs < 1 || procs > 1024) {
         args.error = true;
         return args;
       }
@@ -74,11 +78,9 @@ BenchArgs parse_bench_args(int argc, char** argv) {
         args.error = true;
         return args;
       }
-      char* end = nullptr;
       long threads = 0;
       args.threads_set = true;
-      if (!checked_strtol(argv[++i], &end, threads) || *end != '\0' || threads < 0 ||
-          threads > 1'000'000) {
+      if (!parse_long(argv[++i], threads) || threads < 0 || threads > 1'000'000) {
         args.error = true;
         return args;
       }
@@ -589,14 +591,32 @@ void append_json(JsonWriter& w, const JsonValue& value) {
 
 bool json_read_int(const JsonValue& obj, const std::string& key, int64_t& out) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return false;
+  return v != nullptr && json_read_int(*v, out);
+}
+
+bool json_read_int(const JsonValue& number, int64_t& out) {
+  if (number.kind != JsonValue::Kind::kNumber) return false;
   char* end = nullptr;
   errno = 0;
-  out = std::strtoll(v->text.c_str(), &end, 10);
+  out = std::strtoll(number.text.c_str(), &end, 10);
   // ERANGE clamps to INT64_MAX/MIN silently; a counter that overflows
   // int64 cannot round-trip, so reject the report instead of corrupting
   // the merge.
-  return end != v->text.c_str() && *end == '\0' && errno != ERANGE;
+  return end != number.text.c_str() && *end == '\0' && errno != ERANGE;
+}
+
+bool json_read_string(const JsonValue& obj, const std::string& key, std::string& out) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || v->kind != JsonValue::Kind::kString) return false;
+  out = v->text;
+  return true;
+}
+
+bool json_read_bool(const JsonValue& obj, const std::string& key, bool& out) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || v->kind != JsonValue::Kind::kBool) return false;
+  out = v->boolean;
+  return true;
 }
 
 bool json_read_double(const JsonValue& obj, const std::string& key, double& out) {
@@ -690,9 +710,14 @@ std::optional<SweepReport> report_from_json(const std::string& text, ShardInfo* 
       fail_parse(error, "non-object" + where);
       return std::nullopt;
     }
+    // Vertex ids must fit VertexId: a wider value would be truncated into
+    // another pair's id, and -1 is the touring marker (kNoVertex).
+    const auto vertex_id = [](int64_t v) {
+      return v >= 0 && v <= std::numeric_limits<VertexId>::max();
+    };
     PairStats pair;
     int64_t source = 0;
-    if (!json_read_int(row, "source", source)) {
+    if (!json_read_int(row, "source", source) || !vertex_id(source)) {
       fail_parse(error, "missing or invalid 'source'" + where);
       return std::nullopt;
     }
@@ -706,7 +731,7 @@ std::optional<SweepReport> report_from_json(const std::string& text, ShardInfo* 
       pair.destination = kNoVertex;
     } else {
       int64_t value = 0;
-      if (!json_read_int(row, "destination", value)) {
+      if (!json_read_int(row, "destination", value) || !vertex_id(value)) {
         fail_parse(error, "invalid 'destination'" + where);
         return std::nullopt;
       }

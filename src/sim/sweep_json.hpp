@@ -63,6 +63,12 @@ struct BenchArgs {
 /// false on anything but 0 <= i < N with N >= 1.
 [[nodiscard]] bool parse_shard_spec(const char* spec, int& index, int& count);
 
+/// Strict integer token: the whole token must be the number. atoi-style
+/// silent truncation ("2x" -> 2, "abc" -> 0) is how a typo turns into a
+/// wrong run — and so is ERANGE, which strtol signals only through errno
+/// while clamping to LONG_MAX ("99999999999999999999").
+[[nodiscard]] bool parse_long(const char* s, long& out);
+
 /// Append-style compact JSON writer. Keys and values are emitted in call
 /// order; commas and nesting are handled by the writer. No pretty-printing —
 /// consumers are scripts, not eyes.
@@ -139,6 +145,13 @@ void append_json(JsonWriter& w, const JsonValue& value);
 /// Reads an integer field, rejecting non-numbers, trailing garbage and
 /// ERANGE clamping (a counter that overflows int64 cannot round-trip).
 [[nodiscard]] bool json_read_int(const JsonValue& obj, const std::string& key, int64_t& out);
+/// The same read on a number value itself (an array element).
+[[nodiscard]] bool json_read_int(const JsonValue& number, int64_t& out);
+
+/// Reads a string or boolean field; false when absent or of another kind.
+[[nodiscard]] bool json_read_string(const JsonValue& obj, const std::string& key,
+                                    std::string& out);
+[[nodiscard]] bool json_read_bool(const JsonValue& obj, const std::string& key, bool& out);
 
 /// Reads a double field with the same errno/ERANGE discipline: 1e999 clamps
 /// to HUGE_VAL with only errno to show for it, and a value that cannot

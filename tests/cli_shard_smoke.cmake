@@ -6,8 +6,8 @@
 #   2. run the same sweep as two explicit `--shard i/2` workers plus a
 #      `merge --check` — the multi-host spelling of the same workflow;
 #   3. regression-check the argument validation: `--threads 0`, negative
-#      and non-numeric values, bad shard specs, `--procs 0` and overflowing
-#      numerals must all be rejected (the CLI used to accept some of these
+#      and non-numeric values, non-finite p and timeouts, bad shard specs,
+#      `--procs 0` and overflowing numerals must all be rejected (the CLI used to accept some of these
 #      silently via atoi, and strtol's ERANGE clamping let absurd values
 #      like `--procs 99999999999999999999` pass as LONG_MAX);
 #   4. wide-mask exhaustive shard/merge: the 108-link fat-tree (past the old
@@ -68,6 +68,21 @@ run_cli(FALSE sweep "${GRAPH}" 0.05 20 --shard 2/2)
 run_cli(FALSE sweep "${GRAPH}" 0.05 20 --shard junk)
 run_cli(FALSE sweep "${GRAPH}" 0.05 20 --shard 0/2 --procs 2)
 run_cli(FALSE sweep "${GRAPH}" notanumber 20)
+# Non-finite p: strtod reads "nan" and "inf", and a range check spelled
+# `p < 0 || p > 1` lets NaN through (every comparison with NaN is false) —
+# the CLI used to run the sweep and print p=nan. It must stop at the range
+# check, before any sweep output.
+foreach(bad_p nan -nan NaN inf -inf)
+  execute_process(COMMAND ${POFL_CLI} sweep "${GRAPH}" ${bad_p} 10
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT err MATCHES "need 0 <= p <= 1" OR out MATCHES "scenarios:")
+    message(FATAL_ERROR "sweep with p=${bad_p} was not rejected (rc=${rc}): ${out}${err}")
+  endif()
+endforeach()
+# A NaN timeout passed the (0, 86400] check the same way and turned the
+# per-shard wall clock off.
+run_cli(FALSE sweep "${GRAPH}" 0.05 20 --procs 2 --shard-timeout nan)
+run_cli(FALSE sweep "${GRAPH}" 0.05 20 --procs 2 --shard-timeout inf)
 # Overflow regressions: strtol clamps to LONG_MAX and only signals through
 # errno, and an unchecked long -> int cast truncates 2^32+1 to a silently
 # small value. All of these used to slip through as wrong-but-plausible runs.

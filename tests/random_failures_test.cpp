@@ -1,6 +1,9 @@
-#include "routing/random_failures.hpp"
+#include "reference/random_failures.hpp"
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <stdexcept>
 
 #include "graph/builders.hpp"
 #include "resilience/algorithm1_k5.hpp"
@@ -77,6 +80,23 @@ TEST(RandomFailures, TouringRateOnOuterplanarIsOne) {
   ASSERT_NE(pattern, nullptr);
   const auto stats = estimate_touring_rate(g, *pattern, 0, 0.25, 2000, 5);
   EXPECT_DOUBLE_EQ(stats.delivery_rate, 1.0);
+}
+
+TEST(RandomFailures, IidSourceRejectsProbabilityOutsideUnitInterval) {
+  // p feeds coin_threshold, which casts p * 2^64 to an integer: NaN there is
+  // undefined behaviour, so the constructor refuses it with every other p
+  // outside [0, 1]. Both ends of the interval stay legal.
+  const Graph k5 = make_complete(5);
+  for (const double p : {std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN(), -0.01, 1.01,
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)RandomFailureSource::iid(k5, p, 2, 1, {{0, 4}}), std::invalid_argument)
+        << "p=" << p;
+  }
+  for (const double p : {0.0, 1.0}) {
+    auto source = RandomFailureSource::iid(k5, p, 2, 1, {{0, 4}});
+    EXPECT_EQ(source.total_hint(), 2);
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "routing/random_failures.hpp"
+#include "reference/random_failures.hpp"
 
 #include "graph/connectivity.hpp"
 #include "graph/fast_rand.hpp"

@@ -7,6 +7,10 @@
 // a pattern delivers (or tours) conditioned on the promise holding
 // (source and destination connected / component non-trivial), under i.i.d.
 // per-link failure probability p.
+//
+// A test-only reference: a plain per-trial loop that draws exactly like
+// RandomFailureSource::iid, so the sweep engine's aggregates can be checked
+// against it bit for bit (tests/random_failures_test).
 
 #include <cstdint>
 

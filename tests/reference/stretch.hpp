@@ -4,6 +4,10 @@
 // "a robust route is not necessarily the shortest route") motivates
 // measuring the detour cost of resilient patterns: the ratio between the
 // walk a pattern produces under failures and the shortest surviving path.
+//
+// A test-only reference: a plain per-trial loop that draws exactly like
+// RandomFailureSource::exact_count, against which the engine's stretch
+// tallies are cross-checked (tests/stretch_test).
 
 #include <cstdint>
 

@@ -27,13 +27,16 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "classify/zoo.hpp"
 #include "graph/builders.hpp"
+#include "graph/graphml.hpp"
 #include "orchestrate/posix_io.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/server.hpp"
@@ -204,7 +207,90 @@ TEST(ServeSweep, ShardedResponsesMergeToTheUnshardedReport) {
       << "daemon shard responses do not merge to the unsharded baseline";
 }
 
+TEST(ServeSweep, ShardReportEqualsTheCliShardWorkerBytes) {
+  // One spec, two front ends: the daemon's {"shard":[i,N]} report must be
+  // the bytes `pofl_cli sweep <g> <p> <trials> --shard i/N --json -` streams
+  // for the same iid spec (the CLI fixes seed 1, all pairs and stretch on).
+#ifndef POFL_CLI
+  GTEST_SKIP() << "built without the pofl_cli example";
+#else
+  const std::string name = "synth-hubring-40-214";
+  const Graph* hub = nullptr;
+  const std::vector<NamedGraph> zoo = make_synthetic_zoo();
+  for (const NamedGraph& net : zoo) {
+    if (net.name == name) hub = &net.graph;
+  }
+  ASSERT_NE(hub, nullptr) << name << " left the synthetic zoo";
+  // Per-process name: ctest runs this suite in two entries at once.
+  const std::string path = testing::TempDir() + "/serve_test_" + std::to_string(getpid()) + "_" +
+                           name + ".graphml";
+  {
+    std::ofstream out(path);
+    out << to_graphml(*hub, name);
+  }
+  SweepServer server;
+  std::string error;
+  ASSERT_TRUE(server.register_graph(name, *hub, error)) << error;
+
+  for (const int shard : {0, 3}) {
+    const std::string command = shell_quote(POFL_CLI) + " sweep " + shell_quote(path) +
+                                " 0.05 20 --shard " + std::to_string(shard) + "/4 --json -";
+    FILE* pipe = popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << command;
+    std::string cli_bytes;
+    char chunk[4096];
+    size_t n = 0;
+    while ((n = fread(chunk, 1, sizeof(chunk), pipe)) > 0) cli_bytes.append(chunk, n);
+    ASSERT_EQ(pclose(pipe), 0) << command;
+    ASSERT_FALSE(cli_bytes.empty());
+    ASSERT_EQ(cli_bytes.back(), '\n');
+    cli_bytes.pop_back();
+
+    const Envelope e = unpack(
+        server.handle_request(R"({"cmd":"sweep","graph":")" + name +
+                              R"(","mode":"iid","p":0.05,"trials":20,"seed":1,"shard":[)" +
+                              std::to_string(shard) + ",4]}"),
+        "report");
+    ASSERT_TRUE(e.ok) << e.error;
+    EXPECT_EQ(e.body, cli_bytes) << "daemon shard " << shard << "/4 differs from the CLI worker";
+  }
+  std::remove(path.c_str());
+#endif
+}
+
 // ---- cache discipline ------------------------------------------------------
+
+TEST(ServeCache, EnvelopeKeysKeepTheirSpelling) {
+  // The cache key is the daemon's content address: a respelling orphans
+  // every entry a client or benchmark keyed on, so these spellings are fixed.
+  SweepServer server(k33_opts());
+  register_k33(server);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"cmd":"sweep","graph":"k33","mode":"iid","p":0.1,"trials":2,"seed":7})",
+       "sweep|c25bf133a778fb2d|model=sd|pattern=shortest-path|iid|p=0.10000000000000001|"
+       "trials=2|seed=7|pairs=all|stretch=1"},
+      {R"({"cmd":"sweep","graph":"k33","mode":"exhaustive","k":2,"model":"dest",)"
+       R"("stretch":false,"shard":[1,3]})",
+       "sweep|c25bf133a778fb2d|model=dest|pattern=shortest-path|exhaustive|k=2|pairs=all|"
+       "stretch=0|shard=1/3"},
+      {R"({"cmd":"witness","graph":"k33","mode":"iid","p":0.25,"trials":3,)"
+       R"("pairs":[[0,3],[4,1]]})",
+       "witness|c25bf133a778fb2d|model=sd|pattern=shortest-path|iid|p=0.25|trials=3|seed=1|"
+       "pairs=0,3;4,1"},
+      // A witness reads neither "stretch" nor "shard", malformed or not.
+      {R"({"cmd":"witness","graph":"k33","mode":"iid","p":0.25,"trials":3,"stretch":5,)"
+       R"("shard":"x"})",
+       "witness|c25bf133a778fb2d|model=sd|pattern=shortest-path|iid|p=0.25|trials=3|seed=1|"
+       "pairs=all"},
+  };
+  for (const auto& [request, key] : cases) {
+    JsonValue response;
+    ASSERT_TRUE(parse_json(server.handle_request(request), response)) << request;
+    const JsonValue* got = response.find("key");
+    ASSERT_NE(got, nullptr) << request;
+    EXPECT_EQ(got->text, key) << request;
+  }
+}
 
 TEST(ServeCache, EvictsLeastRecentlyUsedAtCapacity) {
   SweepServer server(k33_opts(/*cache_capacity=*/2));
@@ -427,6 +513,27 @@ TEST(ServeJson, ReadDoubleRejectsErangeOverflow) {
   EXPECT_FALSE(report_from_json(torn, nullptr, &parse_error).has_value());
   EXPECT_NE(parse_error.find("max_stretch"), std::string::npos)
       << "diagnosis must name the offending field, got: " << parse_error;
+}
+
+TEST(ServeJson, ReportRowsRejectVertexIdsThatDoNotFit) {
+  // A row id is stored as a VertexId (int): 2^32 + 1 used to parse as pair 1
+  // (and merge into pair 1's row), and -1 as the touring marker, which
+  // re-serialized as null.
+  std::string golden;
+  ASSERT_TRUE(read_file(baseline_path("sweep_k33_exhaustive.json"), golden));
+  for (const std::string field : {"\"source\":", "\"destination\":"}) {
+    const auto pos = golden.find(field);
+    ASSERT_NE(pos, std::string::npos);
+    const auto value_start = pos + field.size();
+    const auto value_end = golden.find_first_of(",}", value_start);
+    for (const std::string bad : {"4294967297", "-1", "-7"}) {
+      const std::string torn = golden.substr(0, value_start) + bad + golden.substr(value_end);
+      std::string parse_error;
+      EXPECT_FALSE(report_from_json(torn, nullptr, &parse_error).has_value())
+          << field << bad;
+      EXPECT_NE(parse_error.find("per_pair row 0"), std::string::npos) << parse_error;
+    }
+  }
 }
 
 TEST(ServeJson, ParseAppendRoundTripsBaselineBytes) {

@@ -6,7 +6,7 @@
 
 #include "graph/builders.hpp"
 #include "graph/connectivity.hpp"
-#include "routing/stretch.hpp"
+#include "reference/stretch.hpp"
 #include "resilience/algorithm1_k5.hpp"
 
 namespace pofl {

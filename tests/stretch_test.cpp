@@ -1,4 +1,4 @@
-#include "routing/stretch.hpp"
+#include "reference/stretch.hpp"
 
 #include <gtest/gtest.h>
 
